@@ -41,44 +41,7 @@ Package map:
   Perfetto timeline export (``docs/observability.md``)
 """
 
-from repro import obs
-from repro.api import (
-    Result,
-    Session,
-    SystemReport,
-    Workload,
-    make_workload,
-    workload,
-)
-from repro.api.workloads import deprecated_point_alias as \
-    _deprecated_point_alias
-from repro.core import ChainController, Cluster, CoreConfig, SystemConfig
-from repro.energy import AreaModel, EnergyModel, EnergyParams
-from repro.eval import RunResult, geomean, run_build, run_stencil_variant
-from repro.eval.system_runner import run_system_stencil
-from repro.isa import assemble, decode, disassemble, encode
-from repro.kernels import (
-    Grid3d,
-    KernelBuild,
-    StencilSpec,
-    Variant,
-    VecopVariant,
-    box3d1r,
-    build_stencil,
-    build_vecop,
-    j3d27pt,
-    star3d1r,
-)
-from repro.kernels.partition import build_partitioned_stencil
-from repro.system import GLOBAL_BASE, System
-from repro.sweep import (
-    Campaign,
-    ResultCache,
-    SweepRunner,
-    SweepSpec,
-    make_point,
-)
-from repro.trace import TraceRecorder, render_dataflow, render_issue_trace
+from repro._lazy import attach
 
 __version__ = "1.9.0"
 
@@ -131,10 +94,46 @@ __all__ = [
 ]
 
 
+# Every export loads its defining module on first access, so importing
+# one submodule (say repro.cli for a warm sweep) never pays for the
+# whole simulator.
+_export, __dir__ = attach(__name__, {
+    "repro.api.result": ("Result", "SystemReport"),
+    "repro.api.session": ("Session",),
+    "repro.api.workloads": ("Workload", "make_workload", "workload"),
+    "repro.core.chaining": ("ChainController",),
+    "repro.core.cluster": ("Cluster",),
+    "repro.core.config": ("CoreConfig", "SystemConfig"),
+    "repro.energy.area": ("AreaModel",),
+    "repro.energy.model": ("EnergyModel", "EnergyParams"),
+    "repro.eval.report": ("geomean",),
+    "repro.eval.runner": ("RunResult", "run_build", "run_stencil_variant"),
+    "repro.eval.system_runner": ("run_system_stencil",),
+    "repro.isa.assembler": ("assemble",),
+    "repro.isa.disassembler": ("disassemble",),
+    "repro.isa.encoding": ("decode", "encode"),
+    "repro.kernels.build": ("KernelBuild",),
+    "repro.kernels.layout": ("Grid3d",),
+    "repro.kernels.partition": ("build_partitioned_stencil",),
+    "repro.kernels.stencil": ("StencilSpec", "box3d1r", "j3d27pt",
+                              "star3d1r"),
+    "repro.kernels.stencil_codegen": ("build_stencil",),
+    "repro.kernels.variants": ("Variant",),
+    "repro.kernels.vecop": ("VecopVariant", "build_vecop"),
+    "repro.system.system": ("GLOBAL_BASE", "System"),
+    "repro.sweep.cache": ("ResultCache",),
+    "repro.sweep.runner": ("Campaign", "SweepRunner"),
+    "repro.sweep.spec": ("SweepSpec", "make_point"),
+    "repro.trace.events": ("TraceRecorder",),
+    "repro.trace.render": ("render_dataflow", "render_issue_trace"),
+})
+
+
 def __getattr__(name: str):
     # "Point" is deliberately NOT in __all__: a star import must not
     # fire the deprecation warning for users who never touch it.
     if name == "Point":
-        return _deprecated_point_alias("repro.Point")
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
+        from repro.api.workloads import deprecated_point_alias
+
+        return deprecated_point_alias("repro.Point")
+    return _export(name)

@@ -10,24 +10,10 @@
   support: estimate everything, simulate only the interest region.
 """
 
-from repro.analytical.calibrate import (
-    CALIBRATION_SCHEMA,
-    CalibrationReport,
-    FamilyFit,
-    calibrate,
-    calibration_builds,
-    calibration_workloads,
-)
-from repro.analytical.model import (
-    ANALYTICAL_ENGINE,
-    FAMILIES,
-    FIDELITY_ANALYTICAL,
-    FIDELITY_KEY,
-    estimate_build,
-    estimate_workload,
-    kernel_family,
-)
-from repro.analytical.triage import TriagePlan, select_interest
+from repro._lazy import attach
+# Eager: the function shares its module's name, and a lazy binding
+# would be replaced by the submodule the first time it is imported.
+from repro.analytical.calibrate import calibrate
 
 __all__ = [
     "ANALYTICAL_ENGINE",
@@ -46,3 +32,14 @@ __all__ = [
     "kernel_family",
     "select_interest",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.analytical.calibrate": ("CALIBRATION_SCHEMA", "CalibrationReport",
+                                   "FamilyFit", "calibration_builds",
+                                   "calibration_workloads"),
+    "repro.analytical.model": ("ANALYTICAL_ENGINE", "FAMILIES",
+                               "FIDELITY_ANALYTICAL", "FIDELITY_KEY",
+                               "estimate_build", "estimate_workload",
+                               "kernel_family"),
+    "repro.analytical.triage": ("TriagePlan", "select_interest"),
+})

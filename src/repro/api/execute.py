@@ -7,6 +7,11 @@ system runner (:mod:`repro.eval.system_runner`).  The sweep engine's
 workers and :class:`~repro.api.session.Session` both execute through
 :func:`execute_workload`, so every front door resolves configs and
 picks backends identically.
+
+The backends (and with them the simulator and numpy) are imported by
+the functions that run them, so resolving workloads, keying them and
+answering them from a result store never loads the simulator.  Code
+that forks workers calls :func:`load_backends` first.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import copy
 from repro.api.result import Result
 from repro.api.workloads import FPU_DEPTH_KEY, Workload
 from repro.core.config import CoreConfig, SystemConfig
-from repro.eval.runner import execute_build, execute_stencil
 from repro.isa.instructions import InstrClass
 from repro.kernels.vecop import VecopVariant, build_vecop
 from repro.obs import spans as _obs
@@ -28,6 +32,16 @@ DEFAULT_MAX_CYCLES = 5_000_000
 #: ``Session.map`` and the sweep runner -- resolves the same
 #: per-workload budgets, so cached results are front-door-independent.
 DEFAULT_SYSTEM_MAX_CYCLES = 20_000_000
+
+
+def load_backends() -> None:
+    """Import the cycle-accurate backends now.
+
+    Call before forking simulation workers: forked workers inherit the
+    parent's modules, so none pays the import on its first point.
+    """
+    import repro.eval.runner  # noqa: F401
+    import repro.eval.system_runner  # noqa: F401
 
 
 def apply_overrides(base_cfg: CoreConfig | None,
@@ -168,6 +182,8 @@ def _execute_workload(workload: Workload,
         return estimate_workload(workload, base_cfg=base_cfg,
                                  engine=engine)
     if workload.is_vecop:
+        from repro.eval.runner import execute_build
+
         kwargs = {"variant": VecopVariant(workload.variant), "cfg": cfg}
         if workload.n is not None:
             kwargs["n"] = workload.n
@@ -188,6 +204,8 @@ def _execute_workload(workload: Workload,
             num_clusters=workload.num_clusters, sys_cfg=sys_cfg,
             iters=workload.iters, max_cycles=max_cycles,
             require_correct=require_correct, **kwargs)
+    from repro.eval.runner import execute_stencil
+
     kwargs = {"grid": workload.grid3d(), "cfg": cfg}
     if workload.unroll is not None:
         kwargs["unroll"] = workload.unroll

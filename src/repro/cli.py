@@ -52,22 +52,11 @@ from repro.api import (
     make_workload,
     normalize_variant,
 )
-from repro.core.cluster import Cluster
 from repro.core.config import ENGINES
-from repro.energy.area import AreaModel
-from repro.eval.figures import (
-    PAPER_CLAIMS,
-    PAPER_FIG3_POWER_MW,
-    PAPER_FIG3_UTILIZATION,
-    claims_from_results,
-    fig1_data,
-    fig3_data,
-)
 from repro.eval.report import format_table
-from repro.kernels.build import MARK_START
 from repro.kernels.registry import kernel_names
 from repro.kernels.variants import VARIANT_ORDER
-from repro.kernels.vecop import VecopVariant, build_vecop
+from repro.kernels.vecop import VecopVariant
 from repro.sweep import (
     AUDIT_AXES,
     PRESETS,
@@ -79,7 +68,10 @@ from repro.sweep import (
     summary_rows,
 )
 from repro.sweep.audit import DEFAULT_RETRY_BUDGET
-from repro.trace import TraceRecorder, render_dataflow, render_issue_trace
+
+# Commands import their heavy dependencies (the figure harnesses, the
+# simulator, the tracer) themselves, so a warm `repro sweep` answers
+# from the result store without loading the simulator.
 
 #: stdout rounding of ``repro run`` (the pre-1.5 display precision).
 _RUN_DISPLAY_DIGITS = {"fpu_utilization": 4, "power_mw": 2, "gflops": 3,
@@ -135,6 +127,8 @@ def _parse_grid(args) -> tuple[int, int, int] | None:
 
 
 def cmd_fig1(args) -> int:
+    from repro.eval.figures import fig1_data
+
     results = fig1_data(n=args.n)
     rows = [[name, res.fpu_utilization, res.region_cycles,
              res.meta["arch_accumulators"]]
@@ -148,6 +142,12 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_fig3(args) -> int:
+    from repro.eval.figures import (
+        PAPER_FIG3_POWER_MW,
+        PAPER_FIG3_UTILIZATION,
+        fig3_data,
+    )
+
     kernels = tuple(args.kernel) if args.kernel else ("box3d1r", "j3d27pt")
     try:
         results = fig3_data(kernels=kernels)
@@ -176,6 +176,9 @@ def cmd_fig3(args) -> int:
 
 
 def cmd_claims(args) -> int:
+    from repro.eval.figures import PAPER_CLAIMS, claims_from_results, \
+        fig3_data
+
     results = fig3_data()
     claims = claims_from_results(results).as_dict()
     rows = [[key, PAPER_CLAIMS.get(key, "-"), round(value, 2)]
@@ -228,6 +231,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from repro.core.cluster import Cluster
+    from repro.kernels.build import MARK_START
+    from repro.kernels.vecop import build_vecop
+    from repro.trace import TraceRecorder, render_dataflow, \
+        render_issue_trace
+
     variant = VecopVariant(args.variant)
     build = build_vecop(n=args.n, variant=variant, loop_mode=args.loop)
     trace = TraceRecorder()
@@ -251,6 +260,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_area(args) -> int:
+    from repro.energy.area import AreaModel
+
     model = AreaModel()
     rows = [[name, kge] for name, kge in model.breakdown().items()]
     print(format_table(["component", "kGE"], rows, title="Area model"))
@@ -732,6 +743,8 @@ def cmd_profile(args) -> int:
     import io
     import pstats
 
+    from repro.api.execute import load_backends
+
     grid = _parse_grid(args)
     session = Session(engine=args.engine)
     try:
@@ -739,6 +752,7 @@ def cmd_profile(args) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     engine = session.resolve(work).engine
+    load_backends()  # profile the simulation, not its first import
 
     profiler = cProfile.Profile()
     profiler.enable()

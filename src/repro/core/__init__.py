@@ -8,10 +8,7 @@ per-class latencies, the FREP hardware loop, SSR streamers, and the paper's
 contribution — *scalar chaining* — in :mod:`repro.core.chaining`.
 """
 
-from repro.core.config import CoreConfig, SystemConfig
-from repro.core.chaining import ChainController
-from repro.core.cluster import Cluster
-from repro.core.perf import PerfCounters, StallReason
+from repro._lazy import attach
 
 __all__ = [
     "ChainController",
@@ -21,3 +18,10 @@ __all__ = [
     "StallReason",
     "SystemConfig",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.core.chaining": ("ChainController",),
+    "repro.core.cluster": ("Cluster",),
+    "repro.core.config": ("CoreConfig", "SystemConfig"),
+    "repro.core.perf": ("PerfCounters", "StallReason"),
+})

@@ -10,7 +10,11 @@ the paper's claims -- are driven by the event *counts*, which the
 simulator reproduces exactly.
 """
 
-from repro.energy.model import EnergyModel, EnergyParams, EnergyReport
-from repro.energy.area import AreaModel
+from repro._lazy import attach
 
 __all__ = ["AreaModel", "EnergyModel", "EnergyParams", "EnergyReport"]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.energy.area": ("AreaModel",),
+    "repro.energy.model": ("EnergyModel", "EnergyParams", "EnergyReport"),
+})

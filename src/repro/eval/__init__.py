@@ -8,15 +8,7 @@ reporting helpers, and the pre-1.5 deprecation shims
 (:func:`run_build`, :func:`run_stencil_variant`).
 """
 
-from repro.eval.report import format_table, geomean
-from repro.eval.runner import (
-    Result,
-    RunResult,
-    execute_build,
-    execute_stencil,
-    run_build,
-    run_stencil_variant,
-)
+from repro._lazy import attach
 
 __all__ = [
     "Result",
@@ -28,3 +20,10 @@ __all__ = [
     "run_build",
     "run_stencil_variant",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.eval.report": ("format_table", "geomean"),
+    "repro.eval.runner": ("Result", "RunResult", "execute_build",
+                          "execute_stencil", "run_build",
+                          "run_stencil_variant"),
+})

@@ -16,19 +16,7 @@ a small two-pass assembler so kernels can be written (and generated) as
 ordinary assembly text.
 """
 
-from repro.isa.registers import (
-    FP_REG_NAMES,
-    INT_REG_NAMES,
-    fp_reg,
-    fp_reg_name,
-    int_reg,
-    int_reg_name,
-)
-from repro.isa.csr import CSR
-from repro.isa.instructions import Instr, InstrClass, SPEC_TABLE, spec_for
-from repro.isa.encoding import decode, encode
-from repro.isa.assembler import AssemblerError, Program, assemble
-from repro.isa.disassembler import disassemble
+from repro._lazy import attach
 
 __all__ = [
     "AssemblerError",
@@ -49,3 +37,14 @@ __all__ = [
     "int_reg_name",
     "spec_for",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.isa.assembler": ("AssemblerError", "Program", "assemble"),
+    "repro.isa.csr": ("CSR",),
+    "repro.isa.disassembler": ("disassemble",),
+    "repro.isa.encoding": ("decode", "encode"),
+    "repro.isa.instructions": ("Instr", "InstrClass", "SPEC_TABLE",
+                               "spec_for"),
+    "repro.isa.registers": ("FP_REG_NAMES", "INT_REG_NAMES", "fp_reg",
+                            "fp_reg_name", "int_reg", "int_reg_name"),
+})

@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from enum import Enum
 
-import numpy as np
-
 from repro.core.config import CoreConfig
 from repro.kernels.build import MARK_END, MARK_START, KernelBuild
 from repro.kernels.layout import DOUBLE
-from repro.kernels.ssrgen import SsrPatternAsm
-from repro.mem.memory import Allocator
 
 
 class VecopVariant(Enum):
@@ -39,6 +35,12 @@ def build_vecop(n: int = 256, variant: VecopVariant = VecopVariant.BASELINE,
                 scalar: float = 3.25, loop_mode: str = "frep",
                 cfg: CoreConfig | None = None, seed: int = 7) -> KernelBuild:
     """Generate one Fig. 1 kernel build for ``n`` elements."""
+    # Imported here: parsing a vecop variant needs only the enum above.
+    import numpy as np
+
+    from repro.kernels.ssrgen import SsrPatternAsm
+    from repro.mem.memory import Allocator
+
     cfg = cfg or CoreConfig()
     depth = cfg.fpu_pipe_depth
     unroll = depth + 1

@@ -10,7 +10,11 @@ reproduction in two ways:
   are the source of the paper's energy-efficiency gain.
 """
 
-from repro.mem.memory import Memory
-from repro.mem.tcdm import Tcdm, TcdmPort
+from repro._lazy import attach
 
 __all__ = ["Memory", "Tcdm", "TcdmPort"]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.mem.memory": ("Memory",),
+    "repro.mem.tcdm": ("Tcdm", "TcdmPort"),
+})

@@ -9,8 +9,10 @@ input arrays and read back results.
 from __future__ import annotations
 
 import struct
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MemoryError_(Exception):
@@ -94,6 +96,8 @@ class Memory:
 
     def write_array(self, addr: int, array: np.ndarray) -> None:
         """Copy ``array`` (C-contiguous view is taken) into memory."""
+        import numpy as np
+
         raw = np.ascontiguousarray(array).tobytes()
         if addr < 0 or addr + len(raw) > self.size:
             raise MemoryError_(
@@ -102,8 +106,10 @@ class Memory:
         self._data[addr:addr + len(raw)] = raw
 
     def read_array(self, addr: int, shape: tuple[int, ...],
-                   dtype=np.float64) -> np.ndarray:
+                   dtype="float64") -> np.ndarray:
         """Read an ndarray of ``shape``/``dtype`` starting at ``addr``."""
+        import numpy as np
+
         count = int(np.prod(shape))
         nbytes = count * np.dtype(dtype).itemsize
         if addr < 0 or addr + nbytes > self.size:
@@ -116,6 +122,8 @@ class Memory:
 
     def _f64_view(self) -> np.ndarray:
         """Writable float64 view of the whole backing store."""
+        import numpy as np
+
         return np.frombuffer(memoryview(self._data), dtype=np.float64)
 
     def _check_f64_addrs(self, addrs: np.ndarray) -> None:
@@ -127,11 +135,13 @@ class Memory:
             raise MemoryError_(
                 f"gather/scatter address {hi:#x} outside memory of size "
                 f"{self.size:#x}")
-        if np.any(addrs & 7):
+        if (addrs & 7).any():
             raise MemoryError_("misaligned 8-byte address in gather/scatter")
 
     def gather_f64(self, addrs) -> np.ndarray:
         """Read one float64 per (8-aligned) byte address, vectorized."""
+        import numpy as np
+
         addrs = np.asarray(addrs, dtype=np.int64)
         self._check_f64_addrs(addrs)
         return self._f64_view()[addrs >> 3].copy()
@@ -142,6 +152,8 @@ class Memory:
         Duplicate addresses resolve to the last occurrence, matching a
         sequential store loop.
         """
+        import numpy as np
+
         addrs = np.asarray(addrs, dtype=np.int64)
         self._check_f64_addrs(addrs)
         self._f64_view()[addrs >> 3] = np.asarray(values, dtype=np.float64)

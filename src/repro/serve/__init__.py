@@ -17,10 +17,7 @@ Run one with ``python -m repro serve --store .serve-store``; see
 ``docs/serve.md`` for the API reference.
 """
 
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.http import ReproServer
-from repro.serve.jobs import TERMINAL_STATUSES, Job, JobStore
-from repro.serve.scheduler import QueueFull, Scheduler
+from repro._lazy import attach
 
 __all__ = [
     "Job",
@@ -32,3 +29,10 @@ __all__ = [
     "ServeError",
     "TERMINAL_STATUSES",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.serve.client": ("ServeClient", "ServeError"),
+    "repro.serve.http": ("ReproServer",),
+    "repro.serve.jobs": ("TERMINAL_STATUSES", "Job", "JobStore"),
+    "repro.serve.scheduler": ("QueueFull", "Scheduler"),
+})

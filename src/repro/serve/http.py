@@ -24,7 +24,7 @@ import asyncio
 import json
 from pathlib import Path
 
-from repro.api.workloads import Workload
+from repro.api.workloads import Workload, make_workload
 from repro.obs.metrics import METRICS
 from repro.serve.scheduler import QueueFull, Scheduler
 
@@ -34,6 +34,47 @@ _MAX_BODY = 8 * 1024 * 1024
 #: Poll interval of the ``/events`` stream (the scheduler appends to
 #: ``Job.events`` from executor threads; the stream tails the list).
 _EVENT_POLL_SECONDS = 0.05
+
+
+class _BadRequest(Exception):
+    """A request refused while it is being framed: answered with
+    ``status`` and the connection closed, its body left unread."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _content_length(value: str) -> int:
+    """The declared body size: a non-negative decimal integer within
+    :data:`_MAX_BODY`."""
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        raise _BadRequest(400, f"bad Content-Length {value!r}")
+    length = int(value)
+    if length > _MAX_BODY:
+        raise _BadRequest(413, f"body of {length} bytes exceeds the "
+                               f"{_MAX_BODY}-byte limit")
+    return length
+
+
+def _parse_workload(item: dict) -> Workload:
+    """One wire workload, validated by the CLI's parsers.
+
+    The wire carries :meth:`Workload.canonical` forms; anything the
+    validating constructor rejects (an unknown kernel, variant, engine,
+    override or system axis) or would spell differently is refused
+    here, before a job is created or journaled.
+    """
+    raw = Workload.from_canonical(item)
+    checked = make_workload(raw.kernel, raw.variant, grid=raw.grid,
+                            n=raw.n, loop_mode=raw.loop_mode,
+                            unroll=raw.unroll, overrides=raw.overrides,
+                            system=raw.system)
+    if checked != raw:
+        raise ValueError(f"workload is not in canonical form; send "
+                         f"{checked.canonical()}")
+    return checked
 
 
 def _parse_workloads(body: dict) -> list[Workload]:
@@ -46,7 +87,7 @@ def _parse_workloads(body: dict) -> list[Workload]:
             raise ValueError("'workloads' must be a non-empty list")
     else:
         raise ValueError("body needs 'workload' or 'workloads'")
-    return [Workload.from_canonical(item) for item in raw]
+    return [_parse_workload(item) for item in raw]
 
 
 class ReproServer:
@@ -117,7 +158,11 @@ class ReproServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except _BadRequest as exc:
+                return await self._json(writer, exc.status,
+                                        {"error": str(exc)})
             if request is None:
                 return
             method, path, body = request
@@ -139,17 +184,17 @@ class ReproServer:
             method, path, _ = line.decode("latin-1").split(None, 2)
         except ValueError:
             return None
-        length = 0
+        declared = None
         while True:
             header = await reader.readline()
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    length = min(int(value.strip()), _MAX_BODY)
-                except ValueError:
-                    length = 0
+                declared = value
+        # Judged once the headers are in, so a refusal leaves only the
+        # body unread.
+        length = _content_length(declared) if declared is not None else 0
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, body
 
@@ -247,7 +292,7 @@ class ReproServer:
                     payload: dict) -> None:
         reasons = {200: "OK", 201: "Created", 400: "Bad Request",
                    404: "Not Found", 409: "Conflict",
-                   429: "Too Many Requests",
+                   413: "Payload Too Large", 429: "Too Many Requests",
                    503: "Service Unavailable"}
         body = json.dumps(payload, sort_keys=True).encode()
         writer.write(

@@ -31,6 +31,7 @@ import traceback
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.api.execute import load_backends
 from repro.api.session import Session
 from repro.api.workloads import Workload
 from repro.obs import spans as _obs
@@ -85,6 +86,7 @@ class Scheduler:
         self.max_queue = max_queue
         import os
         self.workers = workers or session.workers or os.cpu_count() or 1
+        load_backends()  # forked workers inherit the simulator
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers, initializer=_pool_worker_init)
         self._lock = threading.RLock()

@@ -9,9 +9,7 @@ multi-dimensional loop nests with an element-repetition count, or indirect
 introduced by SARIS (Scheffler et al., DAC 2024).
 """
 
-from repro.ssr.config import SsrConfig, SsrMode, cfg_addr, CfgField
-from repro.ssr.address_gen import AffineGenerator, IndirectGenerator
-from repro.ssr.streamer import SsrStreamer
+from repro._lazy import attach
 
 __all__ = [
     "AffineGenerator",
@@ -22,3 +20,9 @@ __all__ = [
     "SsrStreamer",
     "cfg_addr",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.ssr.address_gen": ("AffineGenerator", "IndirectGenerator"),
+    "repro.ssr.config": ("CfgField", "SsrConfig", "SsrMode", "cfg_addr"),
+    "repro.ssr.streamer": ("SsrStreamer",),
+})

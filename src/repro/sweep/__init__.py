@@ -20,47 +20,7 @@ class as :class:`repro.api.Workload` (identical fields, canonical form
 and cache keys).
 """
 
-from repro.api.workloads import (
-    Workload,
-    deprecated_point_alias,
-    make_workload,
-)
-from repro.sweep.aggregate import (
-    RESULT_METRICS,
-    best_points,
-    by_kernel_variant,
-    group_by,
-    speedup_vs_baseline,
-    summary_rows,
-)
-from repro.sweep.audit import (
-    AUDIT_AXES,
-    AUDIT_SCHEMA,
-    GAP_CLASSES,
-    BackfillPlan,
-    CampaignAudit,
-    PointAudit,
-    audit_campaign,
-)
-from repro.sweep.cache import ResultCache, point_key, result_from_record, \
-    result_to_record
-from repro.sweep.presets import PRESETS, preset_points
-from repro.sweep.runner import (
-    Campaign,
-    Outcome,
-    SweepRunner,
-    apply_overrides,
-    execute_point,
-)
-from repro.sweep.spec import (
-    SweepSpec,
-    VECOP_KERNEL,
-    normalize_variant,
-)
-
-#: Deprecated alias of :func:`repro.api.workloads.make_workload` (kept
-#: callable without a warning; ``Point`` warns via ``__getattr__``).
-make_point = make_workload
+from repro._lazy import attach
 
 __all__ = [
     "AUDIT_AXES",
@@ -95,10 +55,28 @@ __all__ = [
     "summary_rows",
 ]
 
+_export, __dir__ = attach(__name__, {
+    "repro.api.workloads": ("Workload", "make_workload"),
+    "repro.sweep.aggregate": ("RESULT_METRICS", "best_points",
+                              "by_kernel_variant", "group_by",
+                              "speedup_vs_baseline", "summary_rows"),
+    "repro.sweep.audit": ("AUDIT_AXES", "AUDIT_SCHEMA", "GAP_CLASSES",
+                          "BackfillPlan", "CampaignAudit", "PointAudit",
+                          "audit_campaign"),
+    "repro.sweep.cache": ("ResultCache", "point_key", "result_from_record",
+                          "result_to_record"),
+    "repro.sweep.presets": ("PRESETS", "preset_points"),
+    "repro.sweep.runner": ("Campaign", "Outcome", "SweepRunner",
+                           "apply_overrides", "execute_point"),
+    "repro.sweep.spec": ("SweepSpec", "VECOP_KERNEL", "make_point",
+                         "normalize_variant"),
+})
+
 
 def __getattr__(name: str):
     # Not in __all__ on purpose: star imports stay warning-free.
     if name == "Point":
+        from repro.api.workloads import deprecated_point_alias
+
         return deprecated_point_alias(f"{__name__}.Point")
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
+    return _export(name)

@@ -24,11 +24,7 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import (
-    BrokenExecutor,
-    CancelledError,
-    ProcessPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, CancelledError
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 
@@ -37,6 +33,7 @@ from repro.api.execute import (
     DEFAULT_MAX_CYCLES,
     apply_overrides,
     execute_workload,
+    load_backends,
 )
 from repro.api.parse import parse_engine
 from repro.api.result import Result
@@ -408,9 +405,12 @@ class SweepRunner:
 
     def _run_parallel(self, pending, cancel: CancelToken | None = None):
         import os
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = self.workers or os.cpu_count() or 1
         workers = min(workers, len(pending))
         obs_dir = _obs.sink_dir()
+        load_backends()  # forked workers inherit the simulator
         executor = ProcessPoolExecutor(max_workers=workers,
                                        initializer=_pool_worker_init)
         futures = [(index, point, key,

@@ -15,16 +15,7 @@ built on top of it (:mod:`repro.kernels.partition`), and the
 scaling-sweep recipe.
 """
 
-from repro.core.config import SystemConfig
-from repro.system.system import (
-    GLOBAL_BASE,
-    ClusterDma,
-    GlobalMemory,
-    Interconnect,
-    System,
-    SystemDeadlock,
-    SystemTimeout,
-)
+from repro._lazy import attach
 
 __all__ = [
     "GLOBAL_BASE",
@@ -36,3 +27,10 @@ __all__ = [
     "SystemDeadlock",
     "SystemTimeout",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.core.config": ("SystemConfig",),
+    "repro.system.system": ("GLOBAL_BASE", "ClusterDma", "GlobalMemory",
+                            "Interconnect", "System", "SystemDeadlock",
+                            "SystemTimeout"),
+})

@@ -9,6 +9,7 @@ journal with no lost and no duplicated results.
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -165,6 +166,74 @@ def test_http_rejects_garbage(tmp_path):
         with pytest.raises(ServeError) as err:
             client._request("GET", "/v1/nope")
         assert err.value.status == 404
+
+
+def _raw_exchange(server, head: bytes) -> tuple[int, dict]:
+    """Send ``head`` (request line + headers, no body) over a real
+    socket; return the status and JSON body of the reply, which must
+    arrive without the client sending a body and be followed by EOF."""
+    with socket.create_connection(("127.0.0.1", server.server.port),
+                                  timeout=10.0) as sock:
+        sock.sendall(head)
+        reply = b""
+        while chunk := sock.recv(65536):   # EOF: the server closed
+            reply += chunk
+    status_line, _, rest = reply.partition(b"\r\n")
+    _, _, body = rest.partition(b"\r\n\r\n")
+    return int(status_line.split()[1]), json.loads(body)
+
+
+@pytest.mark.parametrize("value", ["-5", "abc", "1.5", "+3", ""])
+def test_http_rejects_bad_content_length(tmp_path, value):
+    with ServerThread(tmp_path / "store", workers=1) as server:
+        status, body = _raw_exchange(
+            server, f"POST /v1/jobs HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {value}\r\n\r\n".encode())
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert server.client().healthz()["ok"] is True
+        assert server.scheduler.store.jobs == {}
+
+
+def test_http_refuses_oversized_body_unread(tmp_path):
+    from repro.serve.http import _MAX_BODY
+
+    with ServerThread(tmp_path / "store", workers=1) as server:
+        # Only the headers are sent: a server that tried to read the
+        # declared body would never answer.
+        status, body = _raw_exchange(
+            server, f"POST /v1/jobs HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {_MAX_BODY + 1}\r\n\r\n".encode())
+        assert status == 413
+        assert str(_MAX_BODY) in body["error"]
+        assert server.client().healthz()["ok"] is True
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"kernel": "nope", "variant": "baseline", "n": 16},
+     "unknown kernel"),
+    ({"kernel": "vecop", "variant": "Chaining+", "n": 16},
+     "unknown variant"),
+    ({"kernel": "box3d1r", "variant": "Base", "grid": [2, 3, 8],
+      "overrides": [["engine", "warp"]]}, "engine must be"),
+    ({"kernel": "vecop", "variant": "Baseline", "n": 16},
+     "not in canonical form"),
+])
+def test_http_submit_rejects_invalid_workloads(tmp_path, bad, message):
+    with ServerThread(tmp_path / "store", workers=1) as server:
+        client = server.client()
+        client.wait(client.submit([FAST])["id"])
+        journal = server.store / "jobs.jsonl"
+        before = journal.read_bytes()
+        for payload in ({"workload": bad},
+                        {"workloads": [FAST.canonical(), bad]}):
+            with pytest.raises(ServeError) as err:
+                client._request("POST", "/v1/jobs", payload)
+            assert err.value.status == 400
+            assert message in str(err.value)
+        assert journal.read_bytes() == before
+        assert len(server.scheduler.store.jobs) == 1
+        assert client.metrics()["serve"]["serve.requests"] == 1
 
 
 def test_http_cancel_pending_job(tmp_path):
