@@ -90,6 +90,29 @@ def _run(build: KernelBuild, engine: str) -> Cluster:
     return cluster
 
 
+def _interleaved(benchmark, build: KernelBuild, rounds: int = 3):
+    """Time the seed engine and scalar-v2 in alternating rounds.
+
+    Each benchmarked scalar-v2 round is preceded by a seed round (run as
+    the round's untimed ``setup``, timed here), so host speed drift
+    lands on both sides of the speedup ratio instead of on one.
+    Returns the last seed cluster, the seed round times and the last
+    scalar-v2 cluster.
+    """
+    seed_seconds: list[float] = []
+    seed: list[Cluster] = []
+
+    def seed_round():
+        start = time.perf_counter()
+        cluster = _run(build, "scalar")
+        seed_seconds.append(time.perf_counter() - start)
+        seed[:] = [cluster]
+
+    v2 = benchmark.pedantic(lambda: _run(build, "scalar-v2"),
+                            setup=seed_round, rounds=rounds, iterations=1)
+    return seed[0], seed_seconds, v2
+
+
 def _assert_identical(a: Cluster, b: Cluster) -> None:
     assert a.cycle == b.cycle
     assert a.perf.summary() == b.perf.summary()
@@ -116,14 +139,7 @@ def test_scalar_stencil_wallclock(benchmark):
 def test_scalar_v2_stencil_speedup_and_equivalence(benchmark):
     """>= 3x on the j3d27pt reference grid at zero fidelity cost."""
     build = build_j3d27pt()
-    scalar_seconds = []
-    for _ in range(2):
-        start = time.perf_counter()
-        scalar = _run(build, "scalar")
-        scalar_seconds.append(time.perf_counter() - start)
-
-    v2 = benchmark.pedantic(lambda: _run(build, "scalar-v2"), rounds=3,
-                            iterations=1)
+    scalar, scalar_seconds, v2 = _interleaved(benchmark, build)
 
     _assert_identical(scalar, v2)
     if benchmark.stats is None:
@@ -148,14 +164,7 @@ def test_scalar_v2_indirect_speedup_and_equivalence(benchmark):
     """Every cycle carries real TCDM traffic (no dead spans to skip), so
     the bar is the pre-decode win alone."""
     build = build_indirect_gather()
-    scalar_seconds = []
-    for _ in range(2):
-        start = time.perf_counter()
-        scalar = _run(build, "scalar")
-        scalar_seconds.append(time.perf_counter() - start)
-
-    v2 = benchmark.pedantic(lambda: _run(build, "scalar-v2"), rounds=3,
-                            iterations=1)
+    scalar, scalar_seconds, v2 = _interleaved(benchmark, build)
 
     _assert_identical(scalar, v2)
     if benchmark.stats is None:

@@ -244,8 +244,9 @@ class Cluster:
             fp.step_v2(cycle)
             core.step_v2(cycle)
             for streamer in fp.streamers:
-                if streamer.cfg is not None:
-                    streamer.step_v2()
+                step = streamer.step_v2
+                if step is not None:
+                    step()
             if core.barrier_wait:
                 self._release_barrier()
         else:
@@ -253,8 +254,9 @@ class Cluster:
                 fp.step_v2(cycle)
                 core.step_v2(cycle)
                 for streamer in fp.streamers:
-                    if streamer.cfg is not None:
-                        streamer.step_v2()
+                    step = streamer.step_v2
+                    if step is not None:
+                        step()
             self._release_barrier()
         dma = self.dma
         if dma._queue:
@@ -262,8 +264,12 @@ class Cluster:
         self.tcdm.arbitrate_v2()
         self.cycle = cycle + 1
         self.perf.cycles = self.cycle
-        if self.fastpath is not None:
-            self.fastpath.observe()
+        fastpath = self.fastpath
+        # Outside a FREP region with the detector idle, observe() is a
+        # no-op; the test keeps the call off the stencils' hot loop.
+        if fastpath is not None and (self.fp.sequencer._active
+                                     or fastpath.in_region):
+            fastpath.observe()
 
     def run(self, max_cycles: int = 5_000_000) -> PerfCounters:
         """Run to completion; returns the performance counters."""

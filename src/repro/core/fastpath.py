@@ -201,6 +201,11 @@ class FastPathEngine:
 
     # -- per-cycle hook (end of Cluster.step) --------------------------------
 
+    @property
+    def in_region(self) -> bool:
+        """True while a region analysis is in progress (not idle)."""
+        return self._state != _IDLE
+
     def observe(self) -> None:
         seq = self.fp.sequencer
         if not seq.frep_active:
@@ -516,7 +521,7 @@ class FastPathEngine:
                 else s._pending_write_addr % interleave,
                 len(s._idx_fifo), digits, next_mod, gen.exhausted,
                 pending is not None,
-                None if pending is None else pending.addr % interleave,
+                None if pending is None else pending[0] % interleave,
                 port._response_ready,
             ))
 
@@ -810,8 +815,10 @@ class FastPathEngine:
                     float(v) for v in elems[si][end - fill:end])
                 port = s.data_port
                 if port._pending is not None:
-                    port._pending.addr = int(affine_addresses(
-                        s.cfg, [s._gen.position - 1])[0])
+                    _, is_write, data, width = port._pending
+                    port._pending = (int(affine_addresses(
+                        s.cfg, [s._gen.position - 1])[0]), is_write, data,
+                        width)
                 if port._response_ready:
                     port._response = float(elems[si][s._gen.position - 1])
             elif si in plan.write_slots:
@@ -832,10 +839,10 @@ class FastPathEngine:
                         s.cfg, [w1])[0])
                 port = s.data_port
                 if port._pending is not None:
-                    port._pending.addr = int(affine_addresses(
-                        s.cfg, [w1])[0])
-                    port._pending.data = float(wvals(
-                        si, np.array([w1]))[0])
+                    _, is_write, _, width = port._pending
+                    port._pending = (
+                        int(affine_addresses(s.cfg, [w1])[0]), is_write,
+                        float(wvals(si, np.array([w1]))[0]), width)
 
         cl.cycle += dt
         perf.cycles = cl.cycle

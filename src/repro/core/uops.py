@@ -32,11 +32,13 @@ this.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.fpu import EXECUTORS, UNPIPELINED_CLASSES, InFlightOp
 from repro.core.perf import SLOT, StallReason
 from repro.core.sequencer import DispatchedEntry
 from repro.isa.csr import is_fp_csr
-from repro.isa.instructions import Instr, InstrClass
+from repro.isa.instructions import Instr, InstrClass, spec_for
 
 _NEVER = 1 << 60
 _MASK = 0xFFFFFFFF
@@ -586,220 +588,295 @@ def _lower_fp_store(instr: Instr):
     return issue
 
 
+# -- FP compute issue: generated code, specialized on operand kinds ----------
+#
+# Whether an FP operand is a stream (SSR), chaining or plain register
+# depends on ``ssr_enable`` and ``chain_mask``, which software changes
+# rarely; yet the issue attempt for a compute instruction runs every
+# cycle it sits at the head of the queue.  So the issue function is
+# generated source with the operand kinds resolved: each stall test,
+# operand pop and counter bump is emitted only for the kinds present.
+# The compiled template is cached at module level, keyed on what shapes
+# the code -- the mnemonic (which fixes the executor, the sync result,
+# the integer operand and the unpipelined flag), the source kinds and
+# their aliasing, the destination kind, the chain push/pop mode and
+# tracing -- but never on register numbers: registers, latency and pipe
+# depth are bound as closure values when a template is instantiated for
+# one instruction.  A kind-keyed cache compiles a handful of templates
+# for a whole stencil, where a register-keyed one would compile one per
+# distinct instruction.
+#
+# Each instance checks on entry that ``ssr_enable`` and the chain-mask
+# bits of its registers still give the kinds it was built for; on a
+# mismatch it hands over to its instruction's specializer, which picks
+# (or builds) the instance for the current kinds and installs it on the
+# entry.
+
+#: Compiled factories, keyed by (mnemonic, source kinds, source alias
+#: pattern, destination kind, concurrent push/pop, traced).  Kinds are
+#: ``"S"`` stream, ``"C"`` chain, ``"R"`` register and, for the
+#: destination only, ``"N"`` (the result returns to the integer core).
+_COMPUTE_TEMPLATES: dict[tuple, Callable[..., Callable]] = {}
+
+#: Globals of the generated code.
+_GEN_GLOBALS = {
+    "InFlightOp": InFlightOp,
+    "_RAW": StallReason.RAW,
+    "_WAW": StallReason.WAW,
+    "_CHAIN_EMPTY": StallReason.CHAIN_EMPTY,
+    "_SSR_EMPTY": StallReason.SSR_EMPTY,
+    "_CHAIN_BACKPRESSURE": StallReason.CHAIN_BACKPRESSURE,
+    "_FPU_BUSY": StallReason.FPU_BUSY,
+}
+
+
 def _lower_fp_compute(instr: Instr, cfg):
+    """The specializer of ``instr``: an issue function that builds (or
+    reuses) the instance for the current operand kinds, installs it on
+    the entry and runs it."""
     spec = instr.spec
     mnemonic = instr.mnemonic
     arity, fn = EXECUTORS[mnemonic]
     iclass = instr.iclass
-    latency = cfg.fpu_latency[iclass]
-    unpipelined = iclass in UNPIPELINED_CLASSES
-    s_class = SLOT[f"fpu_{iclass.name.lower()}"]
     sync = spec.rd_domain == "x"       # feq/flt/fle, fcvt.w.d
     dest = None if sync else instr.rd
     rs1_is_x = spec.rs1_domain == "x"  # fcvt.d.w reads an int operand
-
-    sources: list[int] = []
-    if spec.rs1_domain == "f":
-        sources.append(instr.rs1)
-    if spec.rs2_domain == "f":
-        sources.append(instr.rs2)
-    if spec.rs3_domain == "f":
-        sources.append(instr.rs3)
-    srcs = tuple(sources)
-    nsrc = len(srcs)
-    #: A register named in several operand positions needs the seed's
-    #: pop-once (chain) / pop-per-position (stream) bookkeeping; the
-    #: common duplicate-free case compiles to a leaner loop.
-    has_dup = nsrc != len(set(srcs))
-    n_operands = nsrc + (1 if rs1_is_x else 0)
+    srcs = tuple(reg for reg, domain in (
+        (instr.rs1, spec.rs1_domain), (instr.rs2, spec.rs2_domain),
+        (instr.rs3, spec.rs3_domain)) if domain == "f")
+    n_operands = len(srcs) + (1 if rs1_is_x else 0)
     if n_operands != arity:  # pragma: no cover - spec table is consistent
         raise ValueError(f"{mnemonic} expects {arity} operands, got "
                          f"{n_operands}")
+    alias = tuple(srcs.index(reg) for reg in srcs)
+    named = srcs if dest is None else srcs + (dest,)
+    all_bits = 0
+    for reg in named:
+        all_bits |= 1 << reg
+    latency = cfg.fpu_latency[iclass]
+    depth = cfg.fpu_pipe_depth
+    padded = srcs + (0,) * (3 - len(srcs))
+    variants: dict[tuple, Callable] = {}
 
-    def issue(fp, entry, cycle):
+    def specialize(fp, entry, cycle):
+        ssr_on = bool(fp.ssr_enable)
         chain = fp.chain
         mask = chain.mask
-        valid = chain.valid
-        regs = fp.fpregs
-        busy = regs.busy
-        nstream = fp._num_streamers if fp.ssr_enable else 0
-        streamers = fp.streamers
+        traced = fp.trace is not None
+        vkey = (ssr_on, mask & all_bits, traced, chain.concurrent_push_pop)
+        issue = variants.get(vkey)
+        if issue is None:
+            nstream = fp._num_streamers if ssr_on else 0
 
-        # -- operand readiness (seed _sources_ready; chain/RAW stalls are
-        # reported before stream-empty, whatever the operand order) ------
-        ssr_empty = False
-        for reg in srcs:
-            if reg < nstream:
-                if not streamers[reg]._fifo:
-                    ssr_empty = True
-            elif mask >> reg & 1:
-                if not valid[reg]:
-                    fp.perf.stall(StallReason.CHAIN_EMPTY)
-                    return
-            elif busy[reg]:
-                fp.perf.stall(StallReason.RAW)
-                return
-        if ssr_empty and not has_dup:
-            fp.perf.stall(StallReason.SSR_EMPTY)
-            return
-        if has_dup:
-            # One instruction reading the same stream register in
-            # several operand positions consumes one element per
-            # position; count the required pops per lane.
-            need = None
-            for reg in srcs:
+            def kind(reg):
                 if reg < nstream:
-                    if need is None:
-                        need = {reg: 1}
-                    else:
-                        need[reg] = need.get(reg, 0) + 1
-            if need is not None:
-                for reg, count in need.items():
-                    if streamers[reg].available_pops() < count:
-                        fp.perf.stall(StallReason.SSR_EMPTY)
-                        return
+                    return "S"
+                return "C" if mask >> reg & 1 else "R"
 
-        # -- destination (WAW) and pipe capacity ---------------------------
-        dest_is_ssr = dest is not None and dest < nstream
-        dest_chain = False
-        if dest is not None and not dest_is_ssr:
-            dest_chain = bool(mask >> dest & 1)
-            if not dest_chain and busy[dest]:
-                fp.perf.stall(StallReason.WAW)
-                return
+            rel_mask = 0
+            for reg in named:
+                if kind(reg) != "S":
+                    rel_mask |= 1 << reg
+            key = (mnemonic, tuple(kind(reg) for reg in srcs), alias,
+                   "N" if dest is None else kind(dest),
+                   chain.concurrent_push_pop, traced)
+            factory = _COMPUTE_TEMPLATES.get(key)
+            if factory is None:
+                factory = _COMPUTE_TEMPLATES[key] = _compile_compute(key)
+            issue = variants[vkey] = factory(
+                *padded, dest, latency, depth, fn, instr, rel_mask,
+                mask & rel_mask, ssr_on, specialize)
+        entry.uop = issue
+        return issue(fp, entry, cycle)
+    return specialize
 
-        pipe = fp.pipe
-        in_flight = pipe.in_flight
-        head_retires = False
-        head_complete = bool(in_flight) \
-            and in_flight[0].completes_at <= cycle
-        if head_complete:
-            op = in_flight[0]
-            if op.sync:
-                head_retires = not fp.sync_ready
-            elif op.dest_is_ssr:
-                head_retires = streamers[op.dest].can_push()
-            elif mask >> op.dest & 1:
-                # The candidate's chain pops are exactly its non-stream
-                # chain-enabled sources (all verified poppable above).
-                hd = op.dest
-                if chain.concurrent_push_pop:
-                    head_retires = (not valid[hd]) \
-                        or hd in chain._popped_this_cycle \
-                        or (hd >= nstream and hd in srcs)
-                else:
-                    head_retires = not chain._valid_at_start[hd] \
-                        and not valid[hd]
-            else:
-                head_retires = True
-        if pipe._unpipelined or (
-                len(in_flight) - (1 if head_retires else 0)
-                >= fp._pipe_depth):
-            if head_complete and not head_retires \
-                    and not pipe._unpipelined:
-                fp.perf.stall(StallReason.CHAIN_BACKPRESSURE)
-            else:
-                fp.perf.stall(StallReason.FPU_BUSY)
-            return
 
-        # -- commit the issue: pop/read operands and execute ---------------
-        pvals = fp._pvals
-        if nsrc == 0:
-            operands = ()
-        elif not has_dup:
-            operands = []
-            for reg in srcs:
-                if reg < nstream:
-                    s = streamers[reg]
-                    fifo = s._fifo
-                    value = fifo[0]
-                    s._rep_count += 1
-                    s._to_consume -= 1
-                    if s._rep_count > s.cfg.repeat:
-                        fifo.popleft()
-                        s._rep_count = 0
-                    operands.append(value)
-                    pvals[_S_SSR_READS] += 1
-                elif mask >> reg & 1:
-                    operands.append(regs.values[reg])
-                    valid[reg] = False
-                    chain._popped_this_cycle.add(reg)
-                    chain.pops += 1
-                    pvals[_S_CHAIN_POPS] += 1
-                else:
-                    operands.append(regs.values[reg])
-                    pvals[_S_RF_READS] += 1
+def _compile_compute(key: tuple):
+    """Compile the factory for one template key (see
+    :func:`_compute_source`)."""
+    namespace = dict(_GEN_GLOBALS)
+    exec(compile(_compute_source(key), f"<fp-issue {key}>", "exec"),
+         namespace)
+    return namespace["factory"]
+
+
+def _compute_source(key: tuple) -> str:
+    """Source of the factory for one template key.
+
+    The emitted issue function performs exactly the state transitions,
+    stall classification and counter bumps of the seed
+    :meth:`~repro.core.fp_subsystem.FpSubsystem._issue_compute` for the
+    kinds in ``key``, in the same order: chain and register stalls in
+    operand order, then stream-empty, then WAW, then pipe capacity.
+    """
+    mnemonic, kinds, alias, dkind, concurrent, traced = key
+    spec = spec_for(mnemonic)
+    iclass = spec.iclass
+    unpipelined = iclass in UNPIPELINED_CLASSES
+    sync = dkind == "N"
+    rs1_is_x = spec.rs1_domain == "x"
+    first = [alias[i] == i for i in range(len(kinds))]
+    chain_srcs = [f"R{i}" for i, k in enumerate(kinds)
+                  if k == "C" and first[i]]
+    stream_lanes = [i for i, k in enumerate(kinds)
+                    if k == "S" and first[i]]
+    valid = "valid" if chain_srcs else "chain.valid"
+    streamers = "streamers" if stream_lanes else "fp.streamers"
+
+    out = ["def factory(R0, R1, R2, D, LAT, DEPTH, FN, INSTR, RELMASK,",
+           "            RELBITS, SSR_ON, respec):",
+           "    def issue(fp, entry, cycle):",
+           "        chain = fp.chain",
+           "        mask = chain.mask",
+           "        if fp.ssr_enable != SSR_ON or mask & RELMASK != RELBITS:",
+           "            return respec(fp, entry, cycle)"]
+    emit = out.append
+
+    def stall(reason, indent="        "):
+        emit(f"{indent}fp.perf.stalls[{reason}] += 1")
+        emit(f"{indent}return")
+
+    if chain_srcs:
+        emit("        valid = chain.valid")
+    if "R" in kinds or dkind == "R":
+        emit("        busy = fp.fpregs.busy")
+    # Operand readiness: chain/register stalls in operand order, then
+    # stream-empty (for every lane, whatever the operand order).
+    for i, k in enumerate(kinds):
+        if not first[i]:
+            continue
+        if k == "C":
+            emit(f"        if not valid[R{i}]:")
+            stall("_CHAIN_EMPTY", "            ")
+        elif k == "R":
+            emit(f"        if busy[R{i}]:")
+            stall("_RAW", "            ")
+    if stream_lanes:
+        emit("        streamers = fp.streamers")
+    for i in stream_lanes:
+        need = sum(1 for j, k in enumerate(kinds)
+                   if k == "S" and alias[j] == i)
+        emit(f"        s{i} = streamers[R{i}]")
+        if need == 1:
+            emit(f"        if not s{i}._fifo:")
         else:
-            operands = []
-            chain_seen = {}
-            for reg in srcs:
-                if reg < nstream:
-                    s = streamers[reg]
-                    fifo = s._fifo
-                    value = fifo[0]
-                    s._rep_count += 1
-                    s._to_consume -= 1
-                    if s._rep_count > s.cfg.repeat:
-                        fifo.popleft()
-                        s._rep_count = 0
-                    operands.append(value)
-                    pvals[_S_SSR_READS] += 1
-                elif mask >> reg & 1:
-                    if reg not in chain_seen:
-                        value = regs.values[reg]
-                        valid[reg] = False
-                        chain._popped_this_cycle.add(reg)
-                        chain.pops += 1
-                        pvals[_S_CHAIN_POPS] += 1
-                        chain_seen[reg] = value
-                        operands.append(value)
-                    else:
-                        operands.append(chain_seen[reg])
-                else:
-                    operands.append(regs.values[reg])
-                    pvals[_S_RF_READS] += 1
+            emit(f"        if s{i}.available_pops() < {need}:")
+        stall("_SSR_EMPTY", "            ")
+    if dkind == "R":
+        emit("        if busy[D]:")
+        stall("_WAW", "            ")
 
-        if rs1_is_x:
-            result = fn(float(entry.vals.get("rs1", 0)), *operands)
+    # Pipe capacity: the head's writeback is predicted only when the
+    # pipe is full, the one case where it decides the issue.  Nothing
+    # has popped a chaining register yet this cycle, so the head
+    # retires into a chaining register when it is empty or when this
+    # very instruction pops it.
+    emit("        pipe = fp.pipe")
+    emit("        in_flight = pipe.in_flight")
+    emit("        if pipe._unpipelined:")
+    stall("_FPU_BUSY", "            ")
+    emit("        if len(in_flight) >= DEPTH:")
+    emit("            op = in_flight[0]")
+    emit("            if op.completes_at > cycle:")
+    stall("_FPU_BUSY", "                ")
+    emit("            if op.sync:")
+    emit("                retires = not fp.sync_ready")
+    emit("            elif op.dest_is_ssr:")
+    emit(f"                s = {streamers}[op.dest]")
+    emit("                retires = len(s._fifo) < s.fifo_depth")
+    emit("            elif mask >> op.dest & 1:")
+    if concurrent:
+        test = f"not {valid}[op.dest]"
+        for reg in chain_srcs:
+            test += f" or op.dest == {reg}"
+        emit(f"                retires = {test}")
+    else:
+        emit("                retires = not chain._valid_at_start[op.dest]"
+             f" and not {valid}[op.dest]")
+    emit("            else:")
+    emit("                retires = True")
+    emit("            if not retires:")
+    stall("_CHAIN_BACKPRESSURE", "                ")
+    emit("            if len(in_flight) > DEPTH:")
+    stall("_FPU_BUSY", "                ")
+
+    # Commit: pop/read the operands in operand order and execute.
+    emit("        pvals = fp._pvals")
+    if "R" in kinds or "C" in kinds:
+        emit("        values = fp.fpregs.values")
+    n_ssr = n_rf = 0
+    for i, k in enumerate(kinds):
+        if k == "S":
+            lane = alias[i]
+            if first[i]:
+                emit(f"        f{lane} = s{lane}._fifo")
+            emit(f"        v{i} = f{lane}[0]")
+            emit(f"        s{lane}._to_consume -= 1")
+            emit(f"        if s{lane}._rep_count >= s{lane}.cfg.repeat:")
+            emit(f"            f{lane}.popleft()")
+            emit(f"            s{lane}._rep_count = 0")
+            emit("        else:")
+            emit(f"            s{lane}._rep_count += 1")
+            n_ssr += 1
+        elif k == "R":
+            emit(f"        v{i} = values[R{i}]")
+            n_rf += 1
+        elif first[i]:
+            emit(f"        v{i} = values[R{i}]")
+            emit(f"        valid[R{i}] = False")
+            emit(f"        chain._popped_this_cycle.add(R{i})")
+            emit("        chain.pops += 1")
         else:
-            result = fn(*operands)
+            emit(f"        v{i} = v{alias[i]}")
+    if n_ssr:
+        emit(f"        pvals[{_S_SSR_READS}] += {n_ssr}")
+    if chain_srcs:
+        emit(f"        pvals[{_S_CHAIN_POPS}] += {len(chain_srcs)}")
+    if n_rf:
+        emit(f"        pvals[{_S_RF_READS}] += {n_rf}")
+    args = [f"v{i}" for i in range(len(kinds))]
+    if rs1_is_x:
+        args.insert(0, 'float(entry.vals.get("rs1", 0))')
+    emit(f"        result = FN({', '.join(args)})")
+    if dkind == "R":
+        emit("        busy[D] = True")
+    emit("        completes = cycle + LAT")
+    emit("        if completes <= pipe._last_completion:")
+    emit("            completes = pipe._last_completion + 1")
+    emit("        pipe._last_completion = completes")
+    if unpipelined:
+        emit("        pipe._unpipelined += 1")
+    emit(f"        in_flight.append(InFlightOp(INSTR, {'None' if sync else 'D'}, "
+         f"{dkind == 'S'}, result, completes, {sync}, {unpipelined}))")
 
-        if dest is not None and not dest_is_ssr and not dest_chain:
-            busy[dest] = True
-        completes = cycle + latency
-        if completes <= pipe._last_completion:
-            completes = pipe._last_completion + 1
-        pipe._last_completion = completes
-        if unpipelined:
-            pipe._unpipelined += 1
-        in_flight.append(
-            InFlightOp(instr, dest, dest_is_ssr, result, completes, sync,
-                       unpipelined))
-
-        seq = fp.sequencer
-        if seq._active:
-            pos = seq._pos
-            if seq._inner:
-                body_idx = pos // seq._iters
-                iter_idx = pos % seq._iters
-            else:
-                body_idx = pos % seq._body_len
-                iter_idx = pos // seq._body_len
-            buffer = seq._buffer
-            if body_idx == len(buffer):
-                buffer.append(seq.queue.popleft())
-            if iter_idx > 0:
-                seq.replayed_instrs += 1
-            pos += 1
-            seq._pos = pos
-            if pos >= seq._body_len * seq._iters:
-                seq._active = False
-                seq._buffer = []
-                seq._stagger_cache = {}
-        else:
-            seq.queue.popleft()
-        pvals[_S_COMPUTE] += 1
-        pvals[s_class] += 1
-        if fp.trace is not None:
-            fp.trace.fp_issue(cycle, instr, "compute")
-    return issue
+    # Consume the entry (the sequencer's advance, inlined).
+    out.extend([
+        "        seq = fp.sequencer",
+        "        if seq._active:",
+        "            pos = seq._pos",
+        "            if seq._inner:",
+        "                body_idx = pos // seq._iters",
+        "                iter_idx = pos % seq._iters",
+        "            else:",
+        "                body_idx = pos % seq._body_len",
+        "                iter_idx = pos // seq._body_len",
+        "            buffer = seq._buffer",
+        "            if body_idx == len(buffer):",
+        "                buffer.append(seq.queue.popleft())",
+        "            if iter_idx > 0:",
+        "                seq.replayed_instrs += 1",
+        "            pos += 1",
+        "            seq._pos = pos",
+        "            if pos >= seq._body_len * seq._iters:",
+        "                seq._active = False",
+        "                seq._buffer = []",
+        "                seq._stagger_cache = {}",
+        "        else:",
+        "            seq.queue.popleft()",
+        f"        pvals[{_S_COMPUTE}] += 1",
+        f"        pvals[{SLOT[f'fpu_{iclass.name.lower()}']}] += 1",
+    ])
+    if traced:
+        emit('        fp.trace.fp_issue(cycle, INSTR, "compute")')
+    emit("    return issue")
+    return "\n".join(out) + "\n"

@@ -25,17 +25,18 @@ streamers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
 
 from repro.mem.memory import Memory
 
+#: A posted request: ``(addr, is_write, data, width)``.  A plain tuple
+#: keeps the per-cycle post and grant free of constructor calls.
+Request = tuple[int, bool, float | int | None, int]
 
-@dataclass
-class _Request:
-    addr: int
-    is_write: bool
-    data: float | int | None
-    width: int
+#: Precompiled little-endian unpackers for the read widths the grant
+#: path serves inline (the same formats :class:`Memory` uses).
+_UNPACK_F64 = struct.Struct("<d").unpack_from
+_UNPACK_U32 = struct.Struct("<I").unpack_from
 
 
 class TcdmPort:
@@ -50,7 +51,7 @@ class TcdmPort:
         #: registered under this port's name, mirroring the name-keyed
         #: rotation table of the original arbitration loop).
         self._rot_index: int | None = None
-        self._pending: _Request | None = None
+        self._pending: Request | None = None
         self._response: float | int | None = None
         self._response_ready = False
         # Statistics.
@@ -73,7 +74,7 @@ class TcdmPort:
                                f"request")
         if self._response_ready:
             raise RuntimeError(f"port {self.name} has an unconsumed response")
-        self._pending = _Request(addr, is_write, data, width)
+        self._pending = (addr, is_write, data, width)
 
     def response_ready(self) -> bool:
         """True when read data (or a write ack) is available."""
@@ -92,33 +93,34 @@ class TcdmPort:
     def _grant(self, mem: Memory) -> None:
         req = self._pending
         assert req is not None
-        if req.is_write:
-            if req.width == 8:
-                if isinstance(req.data, float):
-                    mem.write_f64(req.addr, req.data)
+        addr, is_write, data, width = req
+        if is_write:
+            if width == 8:
+                if isinstance(data, float):
+                    mem.write_f64(addr, data)
                 else:
-                    mem.write_u64(req.addr, int(req.data))
-            elif req.width == 4:
-                mem.write_u32(req.addr, int(req.data))
-            elif req.width == 2:
-                mem.write_u16(req.addr, int(req.data))
-            elif req.width == 1:
-                mem.write_u8(req.addr, int(req.data))
+                    mem.write_u64(addr, int(data))
+            elif width == 4:
+                mem.write_u32(addr, int(data))
+            elif width == 2:
+                mem.write_u16(addr, int(data))
+            elif width == 1:
+                mem.write_u8(addr, int(data))
             else:
-                raise ValueError(f"unsupported write width {req.width}")
+                raise ValueError(f"unsupported write width {width}")
             self._response = None
             self.writes += 1
         else:
-            if req.width == 8:
-                self._response = mem.read_f64(req.addr)
-            elif req.width == 4:
-                self._response = mem.read_u32(req.addr)
-            elif req.width == 2:
-                self._response = mem.read_u16(req.addr)
-            elif req.width == 1:
-                self._response = mem.read_u8(req.addr)
+            if width == 8:
+                self._response = mem.read_f64(addr)
+            elif width == 4:
+                self._response = mem.read_u32(addr)
+            elif width == 2:
+                self._response = mem.read_u16(addr)
+            elif width == 1:
+                self._response = mem.read_u8(addr)
             else:
-                raise ValueError(f"unsupported read width {req.width}")
+                raise ValueError(f"unsupported read width {width}")
             self.reads += 1
         self._pending = None
         self._response_ready = True
@@ -203,7 +205,7 @@ class Tcdm:
 
         granted_banks: set[int] = set()
         for p in sorted(pending, key=key):
-            bank = self.bank_of(p._pending.addr)
+            bank = self.bank_of(p._pending[0])
             if bank in granted_banks:
                 p.conflicts += 1
                 self.total_conflicts += 1
@@ -214,21 +216,61 @@ class Tcdm:
         self.busy_bank_cycles += len(granted_banks)
 
     def arbitrate_v2(self) -> None:
-        """Grant-for-grant identical arbitration with the common request
-        counts (0, 1, 2) special-cased and the name-keyed rotation table
-        replaced by per-port rotation indices."""
-        pending = [p for p in self._ports if p._pending is not None]
-        if not pending:
+        """Grant-for-grant identical arbitration for the micro-op engine.
+
+        Pending ports are found without building a list, the common
+        one- and two-request cycles are special-cased, and priority keys
+        are only built when two requests meet on one bank: priority
+        picks a conflict's winner and nothing else (requests to distinct
+        banks touch distinct words, so their grant order is
+        unobservable).  The name-keyed rotation table of
+        :meth:`arbitrate` is replaced by per-port rotation indices.
+        """
+        a = b = None
+        for p in self._ports:
+            if p._pending is not None:
+                if a is None:
+                    a = p
+                elif b is None:
+                    b = p
+                else:
+                    return self._arbitrate_many()
+        if a is None:
             return
-        if len(pending) == 1:
+        if b is None:
             # A lone request always wins its bank, and the round-robin
-            # pointer only advances on contended streamer rounds, so the
-            # full arbitration dance is skipped.
-            p = pending[0]
-            p._grant(self.mem)
+            # pointer only advances on contended streamer rounds.
+            _grant_v2(a, self.mem)
             self.total_accesses += 1
             self.busy_bank_cycles += 1
             return
+        off = self._rr_offset
+        n = len(self._streamer_ports)
+        if a.is_streamer and b.is_streamer:
+            self._rr_offset = (off + 1) % n
+        bw = self.bank_width
+        nb = self.num_banks
+        if (a._pending[0] // bw) % nb != (b._pending[0] // bw) % nb:
+            mem = self.mem
+            _grant_v2(a, mem)
+            _grant_v2(b, mem)
+            self.total_accesses += 2
+            self.busy_bank_cycles += 2
+            return
+        # One bank, two requests: the priority key picks the winner.
+        ra, rb = a._rot_index, b._rot_index
+        if (b.priority, 0 if rb is None else (rb - off) % n) \
+                < (a.priority, 0 if ra is None else (ra - off) % n):
+            a, b = b, a
+        _grant_v2(a, self.mem)
+        b.conflicts += 1
+        self.total_conflicts += 1
+        self.total_accesses += 1
+        self.busy_bank_cycles += 1
+
+    def _arbitrate_many(self) -> None:
+        """:meth:`arbitrate_v2` with three or more pending requests."""
+        pending = [p for p in self._ports if p._pending is not None]
         off = self._rr_offset
         n = len(self._streamer_ports)
         contended = 0
@@ -239,44 +281,13 @@ class Tcdm:
             self._rr_offset = (off + 1) % n
         bw = self.bank_width
         nb = self.num_banks
-        if len(pending) == 2:
-            a, b = pending
-            ra, rb = a._rot_index, b._rot_index
-            if (b.priority, 0 if rb is None else (rb - off) % n) \
-                    < (a.priority, 0 if ra is None else (ra - off) % n):
-                a, b = b, a
-            mem = self.mem
-            req = a._pending
-            bank_a = (req.addr // bw) % nb
-            if req.is_write:
-                a._grant(mem)
-            else:
-                a._response = mem.read_f64(req.addr) if req.width == 8 \
-                    else mem.read_u32(req.addr) if req.width == 4 \
-                    else mem.read_u16(req.addr) if req.width == 2 \
-                    else mem.read_u8(req.addr)
-                a.reads += 1
-                a._pending = None
-                a._response_ready = True
-            req = b._pending
-            if (req.addr // bw) % nb == bank_a:
-                b.conflicts += 1
-                self.total_conflicts += 1
-                self.total_accesses += 1
-                self.busy_bank_cycles += 1
-            else:
-                if req.is_write:
-                    b._grant(mem)
-                else:
-                    b._response = mem.read_f64(req.addr) if req.width == 8 \
-                        else mem.read_u32(req.addr) if req.width == 4 \
-                        else mem.read_u16(req.addr) if req.width == 2 \
-                        else mem.read_u8(req.addr)
-                    b.reads += 1
-                    b._pending = None
-                    b._response_ready = True
-                self.total_accesses += 2
-                self.busy_bank_cycles += 2
+        banks = {(p._pending[0] // bw) % nb for p in pending}
+        mem = self.mem
+        if len(banks) == len(pending):
+            for p in pending:
+                _grant_v2(p, mem)
+            self.total_accesses += len(pending)
+            self.busy_bank_cycles += len(pending)
             return
 
         def key(p: TcdmPort) -> tuple[int, int]:
@@ -285,13 +296,13 @@ class Tcdm:
 
         granted_banks: set[int] = set()
         for p in sorted(pending, key=key):
-            bank = (p._pending.addr // bw) % nb
+            bank = (p._pending[0] // bw) % nb
             if bank in granted_banks:
                 p.conflicts += 1
                 self.total_conflicts += 1
                 continue
             granted_banks.add(bank)
-            p._grant(self.mem)
+            _grant_v2(p, mem)
             self.total_accesses += 1
         self.busy_bank_cycles += len(granted_banks)
 
@@ -308,3 +319,28 @@ class Tcdm:
             out[f"{p.name}_writes"] = p.writes
             out[f"{p.name}_conflicts"] = p.conflicts
         return out
+
+
+def _grant_v2(port: TcdmPort, mem: Memory) -> None:
+    """:meth:`TcdmPort._grant` with the 8- and 4-byte reads inlined
+    through precompiled unpackers; out-of-range and misaligned accesses
+    still raise :class:`~repro.mem.memory.MemoryError_` from
+    :meth:`Memory._check`."""
+    addr, is_write, _, width = port._pending
+    if is_write:
+        port._grant(mem)
+        return
+    if width == 8:
+        if addr < 0 or addr + 8 > mem.size or addr & 7:
+            mem._check(addr, 8)
+        port._response = _UNPACK_F64(mem._data, addr)[0]
+    elif width == 4:
+        if addr < 0 or addr + 4 > mem.size or addr & 3:
+            mem._check(addr, 4)
+        port._response = _UNPACK_U32(mem._data, addr)[0]
+    else:
+        port._grant(mem)
+        return
+    port.reads += 1
+    port._pending = None
+    port._response_ready = True

@@ -31,6 +31,14 @@ from repro.serve.scheduler import QueueFull, Scheduler
 __all__ = ["ReproServer"]
 
 _MAX_BODY = 8 * 1024 * 1024
+#: Longest request or header line accepted, terminator included; a
+#: longer one is answered 431.
+_MAX_LINE = 8 * 1024
+#: Most header lines accepted in one request; more are answered 431.
+_MAX_HEADERS = 100
+#: Seconds a connection gets to deliver its whole request (line,
+#: headers and body); a slower one is answered 408.
+_READ_DEADLINE_S = 10.0
 #: Poll interval of the ``/events`` stream (the scheduler appends to
 #: ``Job.events`` from executor threads; the stream tails the list).
 _EVENT_POLL_SECONDS = 0.05
@@ -56,6 +64,23 @@ def _content_length(value: str) -> int:
         raise _BadRequest(413, f"body of {length} bytes exceeds the "
                                f"{_MAX_BODY}-byte limit")
     return length
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line of at most :data:`_MAX_LINE` bytes.
+
+    A line beyond the stream reader's own buffer limit surfaces as a
+    ``ValueError`` from ``readline``; both cases are answered 431.
+    """
+    line: bytes | None
+    try:
+        line = await reader.readline()
+    except ValueError:
+        line = None
+    if line is None or len(line) > _MAX_LINE:
+        raise _BadRequest(431, f"request line or header longer than "
+                               f"{_MAX_LINE} bytes")
+    return line
 
 
 def _parse_workload(item: dict) -> Workload:
@@ -159,10 +184,15 @@ class ReproServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                request = await self._read_request(reader)
+                async with asyncio.timeout(_READ_DEADLINE_S):
+                    request = await self._read_request(reader)
             except _BadRequest as exc:
                 return await self._json(writer, exc.status,
                                         {"error": str(exc)})
+            except TimeoutError:
+                return await self._json(writer, 408, {
+                    "error": f"request not received within "
+                             f"{_READ_DEADLINE_S} s"})
             if request is None:
                 return
             method, path, body = request
@@ -177,7 +207,7 @@ class ReproServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line:
             return None
         try:
@@ -185,10 +215,15 @@ class ReproServer:
         except ValueError:
             return None
         declared = None
+        headers = 0
         while True:
-            header = await reader.readline()
+            header = await _read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
+            headers += 1
+            if headers > _MAX_HEADERS:
+                raise _BadRequest(431, f"more than {_MAX_HEADERS} header "
+                                       f"lines")
             name, _, value = header.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 declared = value
@@ -291,8 +326,10 @@ class ReproServer:
     async def _json(writer: asyncio.StreamWriter, status: int,
                     payload: dict) -> None:
         reasons = {200: "OK", 201: "Created", 400: "Bad Request",
-                   404: "Not Found", 409: "Conflict",
-                   413: "Payload Too Large", 429: "Too Many Requests",
+                   404: "Not Found", 408: "Request Timeout",
+                   409: "Conflict", 413: "Payload Too Large",
+                   429: "Too Many Requests",
+                   431: "Request Header Fields Too Large",
                    503: "Service Unavailable"}
         body = json.dumps(payload, sort_keys=True).encode()
         writer.write(

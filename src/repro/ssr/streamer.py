@@ -15,8 +15,9 @@ full, for writes) is exactly the stall condition the core observes.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
-from repro.mem.tcdm import Tcdm, TcdmPort, _Request
+from repro.mem.tcdm import Tcdm, TcdmPort
 from repro.ssr.address_gen import AffineGenerator, IndirectGenerator
 from repro.ssr.config import SsrConfig, SsrConfigSpace, SsrMode
 
@@ -44,6 +45,9 @@ class SsrStreamer:
         self._to_produce = 0     # writes the FPU still owes us
         self._data_requested = False
         self._pending_write_addr: int | None = None
+        #: Micro-op engine per-cycle step for the armed stream's mode
+        #: (bound by :meth:`_arm`); None while the lane is unarmed.
+        self.step_v2: Callable[[], None] | None = None
         # Statistics (energy model inputs).
         self.active_cycles = 0
         self.elements_moved = 0
@@ -96,9 +100,13 @@ class SsrStreamer:
         if cfg.mode == SsrMode.READ:
             self._to_consume = total * (cfg.repeat + 1)
             self._to_produce = 0
+            self.step_v2 = self._step_read_indirect_v2 if cfg.indirect \
+                else self._step_read_affine_v2
         else:
             self._to_produce = total
             self._to_consume = 0
+            self.step_v2 = self._step_write_indirect_v2 if cfg.indirect \
+                else self._step_write_affine_v2
 
     # -- register-port interface (used at FP instruction issue) -----------
 
@@ -155,87 +163,136 @@ class SsrStreamer:
         if worked:
             self.active_cycles += 1
 
-    def step_v2(self) -> None:
-        """Micro-op engine per-cycle path: one flattened pass over the
-        same actions as :meth:`step` (the caller guarantees an armed
-        stream), posting requests directly instead of through the
-        checked :meth:`~repro.mem.tcdm.TcdmPort.request` interface --
-        every guard the checked path enforces is established inline."""
-        cfg = self.cfg
+    # Micro-op engine per-cycle paths: one method per (mode, addressing)
+    # pair, bound by :meth:`_arm` so the mode is never re-tested.  Each
+    # performs exactly the actions of :meth:`step` for its mode, posting
+    # requests directly instead of through the checked
+    # :meth:`~repro.mem.tcdm.TcdmPort.request` interface -- every guard
+    # that path enforces is established inline.
+
+    def _step_read_affine_v2(self) -> None:
         port = self.data_port
         worked = False
-        if cfg.mode == SsrMode.READ:
-            fifo = self._fifo
-            if port._response_ready:
-                port._response_ready = False
-                data = port._response
-                port._response = None
-                fifo.append(float(data))
-                self._data_requested = False
-                self.elements_moved += 1
+        fifo = self._fifo
+        if port._response_ready:
+            port._response_ready = False
+            fifo.append(float(port._response))
+            port._response = None
+            self._data_requested = False
+            self.elements_moved += 1
+            worked = True
+        if port._pending is None and not port._response_ready \
+                and self.fifo_depth - len(fifo) \
+                - (1 if self._data_requested else 0) > 0:
+            gen = self._gen
+            if gen._remaining:
+                port._pending = (gen.next(), False, None, 8)
+                self._data_requested = True
                 worked = True
-            iport = self.idx_port
-            if iport._response_ready:
-                iport._response_ready = False
-                data = iport._response
-                iport._response = None
-                self._idx_fifo.append(int(data))
+        if worked:
+            self.active_cycles += 1
+
+    def _step_read_indirect_v2(self) -> None:
+        port = self.data_port
+        iport = self.idx_port
+        idx_fifo = self._idx_fifo
+        worked = False
+        fifo = self._fifo
+        if port._response_ready:
+            port._response_ready = False
+            fifo.append(float(port._response))
+            port._response = None
+            self._data_requested = False
+            self.elements_moved += 1
+            worked = True
+        if iport._response_ready:
+            iport._response_ready = False
+            idx_fifo.append(int(iport._response))
+            iport._response = None
+            worked = True
+        if idx_fifo and port._pending is None \
+                and not port._response_ready \
+                and self.fifo_depth - len(fifo) \
+                - (1 if self._data_requested else 0) > 0:
+            cfg = self.cfg
+            port._pending = (cfg.base + (idx_fifo.popleft()
+                                         << cfg.idx_shift),
+                             False, None, 8)
+            self._data_requested = True
+            worked = True
+        igen = self._igen
+        if igen._pos < igen._count and iport._pending is None \
+                and not iport._response_ready \
+                and len(idx_fifo) < self.fifo_depth:
+            cfg = self.cfg
+            idx_size = cfg.idx_size
+            iport._pending = (cfg.idx_base + igen._pos * idx_size, False,
+                              None, idx_size)
+            igen._pos += 1
+            worked = True
+        if worked:
+            self.active_cycles += 1
+
+    def _step_write_affine_v2(self) -> None:
+        port = self.data_port
+        worked = False
+        fifo = self._fifo
+        if port._response_ready:
+            port._response_ready = False
+            port._response = None
+            fifo.popleft()
+            self._pending_write_addr = None
+            self.elements_moved += 1
+            worked = True
+        if fifo and port._pending is None and not port._response_ready:
+            addr = self._pending_write_addr
+            if addr is None:
+                gen = self._gen
+                if gen._remaining:
+                    addr = self._pending_write_addr = gen.next()
+            if addr is not None:
+                port._pending = (addr, True, fifo[0], 8)
                 worked = True
-            if port._pending is None and not port._response_ready \
-                    and self.fifo_depth - len(fifo) \
-                    - (1 if self._data_requested else 0) > 0:
-                igen = self._igen
-                if igen is not None:
-                    addr = igen.data_addr(self._idx_fifo.popleft()) \
-                        if self._idx_fifo else None
-                else:
-                    gen = self._gen
-                    addr = None if gen._remaining == 0 else gen.next()
-                if addr is not None:
-                    port._pending = _Request(addr, False, None, 8)
-                    self._data_requested = True
-                    worked = True
-            igen = self._igen
-            if igen is not None and igen._pos < igen._count \
-                    and iport._pending is None \
-                    and not iport._response_ready \
-                    and len(self._idx_fifo) < self.fifo_depth:
-                idx_size = cfg.idx_size
-                iport._pending = _Request(
-                    cfg.idx_base + igen._pos * idx_size, False, None,
-                    idx_size)
-                igen._pos += 1
+        if worked:
+            self.active_cycles += 1
+
+    def _step_write_indirect_v2(self) -> None:
+        port = self.data_port
+        iport = self.idx_port
+        idx_fifo = self._idx_fifo
+        worked = False
+        fifo = self._fifo
+        if port._response_ready:
+            port._response_ready = False
+            port._response = None
+            fifo.popleft()
+            self._pending_write_addr = None
+            self.elements_moved += 1
+            worked = True
+        if iport._response_ready:
+            iport._response_ready = False
+            idx_fifo.append(int(iport._response))
+            iport._response = None
+            worked = True
+        if fifo and port._pending is None and not port._response_ready:
+            addr = self._pending_write_addr
+            if addr is None and idx_fifo:
+                cfg = self.cfg
+                addr = self._pending_write_addr = \
+                    cfg.base + (idx_fifo.popleft() << cfg.idx_shift)
+            if addr is not None:
+                port._pending = (addr, True, fifo[0], 8)
                 worked = True
-        else:
-            fifo = self._fifo
-            if port._response_ready:
-                port._response_ready = False
-                port._response = None
-                fifo.popleft()
-                self._pending_write_addr = None
-                self.elements_moved += 1
-                worked = True
-            if fifo and port._pending is None and not port._response_ready:
-                addr = self._pending_write_addr
-                if addr is None:
-                    addr = self._next_data_addr()
-                    if addr is None:
-                        # No resolvable address (index FIFO dry): the
-                        # cycle ends here -- including the index-fetch
-                        # launch below, exactly like the seed path.
-                        if worked:
-                            self.active_cycles += 1
-                        return
-                    self._pending_write_addr = addr
-                port._pending = _Request(addr, True, fifo[0], 8)
-                worked = True
-            igen = self._igen
-            if igen is not None and not igen.exhausted \
-                    and not self.idx_port.busy \
-                    and len(self._idx_fifo) < self.fifo_depth:
-                self.idx_port.request(igen.next_index_addr(),
-                                      width=cfg.idx_size)
-                worked = True
+        igen = self._igen
+        if igen._pos < igen._count and iport._pending is None \
+                and not iport._response_ready \
+                and len(idx_fifo) < self.fifo_depth:
+            cfg = self.cfg
+            idx_size = cfg.idx_size
+            iport._pending = (cfg.idx_base + igen._pos * idx_size, False,
+                              None, idx_size)
+            igen._pos += 1
+            worked = True
         if worked:
             self.active_cycles += 1
 
@@ -287,16 +344,19 @@ class SsrStreamer:
             self._pending_write_addr = None
             self.elements_moved += 1
             worked = True
-        # Launch the next write.
+        # Retire a granted index fetch (indirect scatter).
+        if self.idx_port.response_ready():
+            self._idx_fifo.append(int(self.idx_port.take_response()))
+            worked = True
+        # Launch the next write once its address is known; an indirect
+        # stream waiting on its index still prefetches below.
         if self._fifo and not self.data_port.busy:
             if self._pending_write_addr is None:
-                addr = self._next_data_addr()
-                if addr is None:
-                    return worked
-                self._pending_write_addr = addr
-            self.data_port.request(self._pending_write_addr, is_write=True,
-                                   data=self._fifo[0])
-            worked = True
+                self._pending_write_addr = self._next_data_addr()
+            if self._pending_write_addr is not None:
+                self.data_port.request(self._pending_write_addr,
+                                       is_write=True, data=self._fifo[0])
+                worked = True
         # Indirect scatter: keep the index FIFO fed.
         if (self._igen is not None and not self._igen.exhausted
                 and not self.idx_port.busy

@@ -16,6 +16,7 @@ of evidence:
   the end of the run is caught.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -59,8 +60,9 @@ def machine_digest(cluster: Cluster) -> dict:
 
 def run_engine(source, engine: str, *, num_cores: int = 1,
                loader=None, trace: bool = False,
-               fetch_from_memory: bool = False):
-    cfg = CoreConfig(engine=engine, fetch_from_memory=fetch_from_memory)
+               fetch_from_memory: bool = False, **cfg_overrides):
+    cfg = CoreConfig(engine=engine, fetch_from_memory=fetch_from_memory,
+                     **cfg_overrides)
     recorder = TraceRecorder() if trace else None
     if hasattr(source, "asm"):
         cluster = Cluster(source.asm, cfg=cfg, symbols=source.symbols,
@@ -77,15 +79,17 @@ def run_engine(source, engine: str, *, num_cores: int = 1,
 
 def assert_equivalent(source, *, num_cores: int = 1, loader=None,
                       trace: bool = False, fetch_from_memory: bool = False,
-                      engines=("scalar-v2", "auto")):
+                      engines=("scalar-v2", "auto"), **cfg_overrides):
     ref, ref_tr = run_engine(source, "scalar", num_cores=num_cores,
                              loader=loader, trace=trace,
-                             fetch_from_memory=fetch_from_memory)
+                             fetch_from_memory=fetch_from_memory,
+                             **cfg_overrides)
     ref_digest = machine_digest(ref)
     for engine in engines:
         got, got_tr = run_engine(source, engine, num_cores=num_cores,
                                  loader=loader, trace=trace,
-                                 fetch_from_memory=fetch_from_memory)
+                                 fetch_from_memory=fetch_from_memory,
+                                 **cfg_overrides)
         assert machine_digest(got) == ref_digest, engine
         if trace:
             assert [(e.cycle, e.text, e.kind, e.chain_valid,
@@ -258,6 +262,270 @@ def test_engine_composition_and_validation():
         CoreConfig(engine="scalar-v3").validate()
 
 
+# -- FP compute issue: every operand kind ------------------------------------
+#
+# The scalar-v2 FP compute issue is generated code specialized on the
+# kind of each operand (stream, chain or register, set by ssr_enable and
+# chain_mask), so every kind combination is its own code path.  Sources
+# in position i read stream lane ft<i> (ft0..ft2), chaining register
+# f2<i> (pushed by a producer just before) or plain register f<3+i>; the
+# destination is stream lane ft<next free>, chaining register f23
+# (popped by a consumer just after) or plain register f7.
+
+_KINDS = ("S", "C", "R")
+_ITERS = 4
+
+
+def _kind_program(mnemonic: str, kinds: tuple, dest: str) -> str:
+    from repro.kernels.ssrgen import SsrPatternAsm
+
+    lanes, ops, producers, mask = [], [], [], 0
+    for i, kind in enumerate(kinds):
+        if kind == "S":
+            lane = len(lanes)
+            lanes.append(SsrPatternAsm(lane, base=DATA + 0x200 * lane,
+                                       bounds=[_ITERS], strides=[8]))
+            ops.append(f"f{lane}")
+        elif kind == "C":
+            mask |= 1 << (20 + i)
+            producers.append(f"    fadd.d f{20 + i}, f3, f4")
+            ops.append(f"f{20 + i}")
+        else:
+            ops.append(f"f{3 + i}")
+    consumer = []
+    if dest == "S":
+        lane = len(lanes)
+        lanes.append(SsrPatternAsm(lane, base=OUT + 0x100, bounds=[_ITERS],
+                                   strides=[8], write=True))
+        rd = f"f{lane}"
+    elif dest == "C":
+        mask |= 1 << 23
+        rd = "f23"
+        consumer.append("    fadd.d f6, f6, f23")
+    else:
+        rd = "f7"
+    lines = [f"    li x8, {DATA}", f"    li x9, {OUT}"]
+    lines += [f"    fld f{r}, {8 * (r - 3)}(x8)" for r in range(3, 8)]
+    lines += [lane.emit() for lane in lanes]
+    if lanes:
+        lines.append("    csrrsi x0, ssr_enable, 1")
+    if mask:
+        lines += [f"    li x7, {mask}", "    csrrw x0, chain_mask, x7"]
+    lines += [f"    li x5, {_ITERS}", "loop:"]
+    lines += producers
+    lines.append(f"    {mnemonic} {rd}, {', '.join(ops)}")
+    lines += consumer
+    lines += ["    addi x5, x5, -1", "    bne x5, x0, loop",
+              "    fsd f6, 0(x9)", "    fsd f7, 8(x9)", "    ebreak"]
+    return "\n".join(lines)
+
+
+def _kind_data(cluster):
+    cluster.load_f64(DATA, np.linspace(0.25, 4.0, 8))
+    for lane in range(3):
+        cluster.load_f64(DATA + 0x200 * lane,
+                         np.arange(1.0, 17.0) * (lane + 2))
+
+
+def _kind_cases():
+    for mnemonic, arity in (("fmadd.d", 3), ("fadd.d", 2), ("fmul.d", 2)):
+        for kinds in itertools.product(_KINDS, repeat=arity):
+            for dest in _KINDS:
+                if kinds.count("S") + (dest == "S") > 3:
+                    continue   # needs a fourth SSR lane
+                yield pytest.param(mnemonic, kinds, dest, id=(
+                    f"{mnemonic}-{''.join(kinds)}-{dest}"))
+
+
+@pytest.mark.parametrize("mnemonic,kinds,dest", _kind_cases())
+def test_fp_compute_operand_kinds_equivalent(mnemonic, kinds, dest):
+    assert_equivalent(_kind_program(mnemonic, kinds, dest),
+                      loader=_kind_data, engines=("scalar-v2",))
+
+
+@pytest.mark.parametrize("kinds,dest", [
+    (("S", "R", "C"), "C"), (("S", "C", "R"), "S"), (("C", "C", "C"), "R"),
+    (("R", "R", "C"), "C")], ids=lambda v: "".join(v))
+def test_fp_compute_conservative_push_pop_equivalent(kinds, dest):
+    assert_equivalent(_kind_program("fmadd.d", kinds, dest),
+                      loader=_kind_data, engines=("scalar-v2",),
+                      chain_concurrent_push_pop=False)
+
+
+def test_fp_compute_operand_kinds_traced_equivalent():
+    assert_equivalent(_kind_program("fmadd.d", ("S", "R", "C"), "C"),
+                      loader=_kind_data, trace=True,
+                      engines=("scalar-v2", "auto"))
+
+
+def test_duplicated_stream_and_chain_operands_equivalent():
+    """A stream register named twice pops once per position (with
+    ``repeat`` serving the second read from the same element); a chain
+    register named twice pops once."""
+    from repro.kernels.ssrgen import SsrPatternAsm
+
+    ssr0 = SsrPatternAsm(0, base=DATA + 0x200, bounds=[8], strides=[8])
+    ssr1 = SsrPatternAsm(1, base=DATA + 0x400, bounds=[4], strides=[8],
+                         repeat=1)
+    assert_equivalent(f"""
+    li x8, {DATA}
+    li x9, {OUT}
+    fld f3, 0(x8)
+    fld f4, 8(x8)
+{ssr0.emit()}
+{ssr1.emit()}
+    csrrsi x0, ssr_enable, 1
+    li x7, {1 << 20}
+    csrrw x0, chain_mask, x7
+    li x5, 4
+loop:
+    fmadd.d f5, ft0, ft0, f3
+    fmul.d f6, ft1, ft1
+    fadd.d f20, f3, f4
+    fmul.d f7, f20, f20
+    fadd.d f20, f4, f5
+    fmadd.d f3, f20, f20, f20
+    addi x5, x5, -1
+    bne x5, x0, loop
+    fsd f5, 0(x9)
+    fsd f6, 8(x9)
+    fsd f7, 16(x9)
+    fsd f3, 24(x9)
+    ebreak
+""", loader=_kind_data, engines=("scalar-v2",))
+
+
+def test_unpipelined_and_sync_ops_equivalent():
+    """fdiv/fsqrt (unpipelined) and the integer-side feq, fcvt.w.d and
+    fcvt.d.w, with stream and chain operands and destinations."""
+    from repro.kernels.ssrgen import SsrPatternAsm
+
+    ssr0 = SsrPatternAsm(0, base=DATA + 0x200, bounds=[14], strides=[8])
+    assert_equivalent(f"""
+    li x8, {DATA}
+    li x9, {OUT}
+    fld f3, 0(x8)
+    fld f4, 8(x8)
+{ssr0.emit()}
+    csrrsi x0, ssr_enable, 1
+    li x7, {1 << 20 | 1 << 21}
+    csrrw x0, chain_mask, x7
+    li x5, 2
+loop:
+    fdiv.d f20, ft0, f3
+    fsqrt.d f5, f20
+    fadd.d f21, ft0, f4
+    feq.d x6, f21, f3
+    fcvt.d.w f20, x5
+    fcvt.w.d x7, f20
+    fdiv.d f6, ft0, ft0
+    fsqrt.d f21, ft0
+    flt.d x6, f21, ft0
+    fle.d x7, ft0, f5
+    add x6, x6, x7
+    addi x5, x5, -1
+    bne x5, x0, loop
+    fsd f5, 0(x9)
+    fsd f6, 8(x9)
+    sw x6, 16(x9)
+    ebreak
+""", loader=_kind_data, engines=("scalar-v2",))
+
+
+def test_operand_kinds_change_under_one_instruction_equivalent():
+    """The same instruction (one pc, reached through a subroutine) runs
+    with its operands as registers, then streams, then chains, then
+    back, as csr writes to ssr_enable and chain_mask change their
+    kinds; the specialized issue code must notice every change."""
+    from repro.kernels.ssrgen import SsrPatternAsm
+
+    ssr0 = SsrPatternAsm(0, base=DATA + 0x200, bounds=[2], strides=[8])
+    source = f"""
+    li x8, {DATA}
+    li x9, {OUT}
+    fld f0, 0(x8)
+    fld f3, 8(x8)
+    fld f4, 16(x8)
+{ssr0.emit()}
+    jal ra, body
+    csrrsi x0, ssr_enable, 1
+    jal ra, body
+    li x7, {1 << 10 | 1 << 11}
+    csrrw x0, chain_mask, x7
+    jal ra, body
+    csrrci x0, ssr_enable, 1
+    jal ra, body
+    csrrw x0, chain_mask, x0
+    jal ra, body
+    fsd f6, 0(x9)
+    fsd f10, 8(x9)
+    ebreak
+body:
+    fadd.d f11, f3, f4
+    fmadd.d f10, f0, f11, f3
+    fadd.d f6, f6, f10
+    jalr x0, ra, 0
+"""
+    ref = assert_equivalent(source, loader=_kind_data,
+                            engines=("scalar-v2",))
+    assert ref.fp.streamers[0].done
+
+
+def test_indirect_scatter_stream_equivalent():
+    """An indirect (scatter) write stream drains on both engines."""
+    from repro.kernels.ssrgen import SsrPatternAsm
+
+    n = 6
+    idx = np.array([4, 0, 5, 1, 3, 2], dtype=np.uint32)
+    src = np.arange(2.0, 2.0 + n)
+    ssr0 = SsrPatternAsm(0, base=DATA, bounds=[n], strides=[8])
+    ssr1 = SsrPatternAsm(1, base=OUT, bounds=[n], strides=[0], write=True,
+                         indirect=True, idx_base=DATA + 0x400, idx_size=4,
+                         idx_shift=3)
+
+    def loader(cluster):
+        cluster.load_f64(DATA, src)
+        cluster.load_u32(DATA + 0x400, idx)
+
+    ref = assert_equivalent(f"""
+    li x8, {DATA}
+    fld fa0, 0(x8)
+{ssr0.emit()}
+{ssr1.emit()}
+    csrrsi x0, ssr_enable, 1
+    li t3, {n - 1}
+    frep.o t3, 0
+    fmul.d ft1, ft0, fa0
+    ebreak
+""", loader=loader)
+    out = ref.read_f64(OUT, (n,))
+    assert list(out[idx]) == list(src * src[0])
+
+
+def test_compute_templates_keyed_by_kind_not_register(tiny_grid):
+    """Both paper stencils, back to back, compile a handful of issue
+    templates: the cache is keyed by operand kinds, so the stencils'
+    dozens of distinct compute instructions share them."""
+    from repro.core import uops
+
+    saved = dict(uops._COMPUTE_TEMPLATES)
+    uops._COMPUTE_TEMPLATES.clear()
+    try:
+        variant = Variant.from_label("Chaining+")
+        distinct = set()
+        for kernel in ("j3d27pt", "box3d1r"):
+            spec, _ = get_stencil(kernel)
+            build = build_stencil(spec, tiny_grid, variant)
+            run_engine(build, "scalar-v2")
+            distinct |= {line.strip() for line in build.asm.splitlines()
+                         if line.strip().startswith(("fmadd.d", "fmul.d"))}
+        assert len(distinct) > 20
+        assert len(uops._COMPUTE_TEMPLATES) == 3
+    finally:
+        uops._COMPUTE_TEMPLATES.clear()
+        uops._COMPUTE_TEMPLATES.update(saved)
+
+
 # -- lockstep fuzz -----------------------------------------------------------
 
 _FP_OPS2 = ("fadd.d", "fsub.d", "fmul.d", "fmin.d", "fmax.d", "fsgnj.d")
@@ -272,7 +540,8 @@ def _random_program(rng: random.Random) -> str:
     """A random terminating program over a safe instruction subset.
 
     Integer regs x1..x7 compute, x8/x9 hold data bases, FP regs f3..f9
-    compute with f20..f23 optionally chain-enabled; branches only jump
+    compute with f20..f23 optionally chain-enabled (the chain mask and
+    ``ssr_enable`` are also rewritten mid-program); branches only jump
     forward, so the program always reaches ``ebreak``.
     """
     lines = [f"li x8, {DATA}", f"li x9, {OUT}"]
@@ -336,8 +605,19 @@ def _random_program(rng: random.Random) -> str:
             for _ in range(body):
                 lines.append(f"{rng.choice(_FP_OPS2)} f{f()}, f{f()}, "
                              f"f{f()}")
-        else:
+        elif kind < 0.97:
             lines.append(f"csrr x{r()}, mcycle")
+        elif kind < 0.985:
+            # Re-kind the chaining registers mid-program: every issue
+            # function specialized on the old mask must notice.
+            mask = 0
+            for reg in (20, 21, 22, 23):
+                if rng.random() < 0.5:
+                    mask |= 1 << reg
+            lines.append(f"li x7, {mask}")
+            lines.append("csrrw x0, 0x7C3, x7")
+        else:
+            lines.append(f"csrrwi x0, 0x7C0, {rng.randrange(2)}")
     if pending_label is not None:
         lines.append(f"{pending_label}:")
     lines.append("ebreak")

@@ -209,6 +209,64 @@ def test_http_refuses_oversized_body_unread(tmp_path):
         assert server.client().healthz()["ok"] is True
 
 
+@pytest.mark.parametrize("head", [
+    # Over the line limit but within asyncio's 64 KiB stream buffer.
+    b"GET /v1/healthz HTTP/1.1\r\nX-Pad: " + b"a" * 9000 + b"\r\n\r\n",
+    # Over asyncio's own 64 KiB limit: readline raises ValueError.
+    b"GET /v1/healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70000
+    + b"\r\n\r\n",
+    # An over-long request line.
+    b"GET /" + b"a" * 9000 + b" HTTP/1.1\r\n\r\n",
+    # Too many header lines.
+    b"GET /v1/healthz HTTP/1.1\r\n" + b"X-A: 1\r\n" * 101 + b"\r\n",
+], ids=["long-header", "huge-header", "long-request-line",
+        "many-headers"])
+def test_http_refuses_oversized_headers(tmp_path, head):
+    from repro.serve.http import _MAX_HEADERS, _MAX_LINE
+
+    with ServerThread(tmp_path / "store", workers=1) as server:
+        status, body = _raw_exchange(server, head)
+        assert status == 431
+        assert str(_MAX_LINE) in body["error"] \
+            or str(_MAX_HEADERS) in body["error"]
+        assert server.client().healthz()["ok"] is True
+
+
+def test_http_accepts_headers_at_the_limits(tmp_path):
+    from repro.serve.http import _MAX_HEADERS, _MAX_LINE
+
+    with ServerThread(tmp_path / "store", workers=1) as server:
+        pad = b"X-Pad: " + b"a" * (_MAX_LINE - 9) + b"\r\n"
+        assert len(pad) == _MAX_LINE
+        status, body = _raw_exchange(
+            server, b"GET /v1/healthz HTTP/1.1\r\n" + pad
+            + b"X-A: 1\r\n" * (_MAX_HEADERS - 1) + b"\r\n")
+        assert status == 200 and body["ok"] is True
+
+
+def test_http_read_deadline_answers_408(tmp_path, monkeypatch):
+    """A client that sends a request line and stops gets a 408 and a
+    closed connection once the read deadline passes."""
+    from repro.serve import http
+
+    monkeypatch.setattr(http, "_READ_DEADLINE_S", 0.3)
+    with ServerThread(tmp_path / "store", workers=1) as server:
+        start = time.monotonic()
+        status, body = _raw_exchange(
+            server, b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n")
+        assert status == 408
+        assert "0.3" in body["error"]
+        assert time.monotonic() - start < 5.0
+        # A silent connection is dropped the same way.
+        with socket.create_connection(
+                ("127.0.0.1", server.server.port), timeout=10.0) as sock:
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert server.client().healthz()["ok"] is True
+
+
 @pytest.mark.parametrize("bad, message", [
     ({"kernel": "nope", "variant": "baseline", "n": 16},
      "unknown kernel"),
