@@ -1,9 +1,10 @@
 """Fast-path engine benchmarks: wall-clock speedup at zero fidelity cost.
 
-The vectorized FREP/SSR engine must be (a) bit-identical to the scalar
-reference in every reported number and (b) at least 3x faster on the
-Fig. 1 vecop workload at a sweep-sized n.  Both claims are asserted
-here, and the timed runs feed the CI benchmark-regression gate.
+The vectorized FREP/SSR engine, run under ``engine="auto"``, must be
+(a) bit-identical to the seed interpreter oracle (``tests/oracle/``) in
+every reported number and (b) at least 3x faster than it on the Fig. 1
+vecop workload at a sweep-sized n.  Both claims are asserted here, and
+the timed runs feed the CI benchmark-regression gate.
 """
 
 import time
@@ -11,9 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.cluster import Cluster
 from repro.core.config import CoreConfig
 from repro.kernels.vecop import VecopVariant, build_vecop
+
+from oracle import ORACLE, engine_cluster
 
 N = 4096
 MIN_SPEEDUP = 3.0
@@ -21,9 +23,10 @@ MIN_SPEEDUP = 3.0
 
 def _run(engine: str, n: int = N,
          variant: VecopVariant = VecopVariant.CHAINING):
+    make, engine = engine_cluster(engine)
     cfg = CoreConfig(engine=engine)
     build = build_vecop(n=n, variant=variant, cfg=cfg)
-    cluster = Cluster(build.asm, cfg=cfg, symbols=build.symbols)
+    cluster = make(build.asm, cfg=cfg, symbols=build.symbols)
     build.load_into(cluster)
     cluster.run()
     out = cluster.read_f64(build.output_addr, build.output_shape)
@@ -32,15 +35,15 @@ def _run(engine: str, n: int = N,
 
 
 def test_fastpath_vecop_wallclock(benchmark):
-    """The regression-gated number: fig1 vecop under the fast engine."""
-    cluster = benchmark.pedantic(lambda: _run("fast"), rounds=3,
+    """The regression-gated number: fig1 vecop under the fast path."""
+    cluster = benchmark.pedantic(lambda: _run("auto"), rounds=3,
                                  iterations=1)
     assert cluster.fastpath.stats["applications"] >= 1
 
 
 def test_scalar_vecop_wallclock(benchmark):
-    """Reference wall-clock of the scalar engine on the same workload."""
-    benchmark.pedantic(lambda: _run("scalar"), rounds=1, iterations=1)
+    """Reference wall-clock of the seed oracle on the same workload."""
+    benchmark.pedantic(lambda: _run(ORACLE), rounds=1, iterations=1)
 
 
 def test_fastpath_speedup_and_equivalence(benchmark):
@@ -48,10 +51,10 @@ def test_fastpath_speedup_and_equivalence(benchmark):
     scalar_seconds = []
     for _ in range(2):
         start = time.perf_counter()
-        scalar = _run("scalar")
+        scalar = _run(ORACLE)
         scalar_seconds.append(time.perf_counter() - start)
 
-    fast = benchmark.pedantic(lambda: _run("fast"), rounds=3,
+    fast = benchmark.pedantic(lambda: _run("auto"), rounds=3,
                               iterations=1)
 
     assert scalar.cycle == fast.cycle
@@ -73,8 +76,8 @@ def test_fastpath_speedup_and_equivalence(benchmark):
                          ids=lambda v: v.value)
 def test_fastpath_variant_equivalence(variant):
     """All three Fig. 1 code forms stay bit-identical at batch sizes."""
-    scalar = _run("scalar", n=1024, variant=variant)
-    fast = _run("fast", n=1024, variant=variant)
+    scalar = _run(ORACLE, n=1024, variant=variant)
+    fast = _run("auto", n=1024, variant=variant)
     assert scalar.cycle == fast.cycle
     assert scalar.perf.summary() == fast.perf.summary()
     assert fast.fastpath.stats["applications"] >= 1

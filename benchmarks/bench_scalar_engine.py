@@ -6,8 +6,8 @@ an indirect SSR stream, and indirect gathers are data-dependent by
 definition.  Those run on the scalar execution engine, so this suite
 pins the micro-op engine's two contracts on them:
 
-* **speed** -- >= 3x wall-clock over the seed scalar interpreter on the
-  ``j3d27pt`` reference grid (the acceptance bar), and a solid win on an
+* **speed** -- >= 3x wall-clock over the seed interpreter (the test
+  oracle in ``tests/oracle/``) on the ``j3d27pt`` reference grid (the acceptance bar), and a solid win on an
   indirect-SSR gather whose every cycle carries real TCDM traffic;
 * **fidelity** -- byte-identical results and identical cycle counts,
   perf/stall counters and TCDM statistics on both.
@@ -28,6 +28,8 @@ from repro.kernels.ssrgen import SsrPatternAsm
 from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import Variant
 from repro.mem.memory import Allocator
+
+from oracle import ORACLE, engine_cluster
 
 MIN_STENCIL_SPEEDUP = 3.0
 MIN_INDIRECT_SPEEDUP = 1.3
@@ -82,8 +84,9 @@ def build_indirect_gather(n: int = 8192, seed: int = 7) -> KernelBuild:
 
 
 def _run(build: KernelBuild, engine: str) -> Cluster:
+    make, engine = engine_cluster(engine)
     cfg = CoreConfig(engine=engine)
-    cluster = Cluster(build.asm, cfg=cfg, symbols=build.symbols)
+    cluster = make(build.asm, cfg=cfg, symbols=build.symbols)
     build.load_into(cluster)
     cluster.run()
     assert np.array_equal(build.read_output(cluster), build.golden)
@@ -104,7 +107,7 @@ def _interleaved(benchmark, build: KernelBuild, rounds: int = 3):
 
     def seed_round():
         start = time.perf_counter()
-        cluster = _run(build, "scalar")
+        cluster = _run(build, ORACLE)
         seed_seconds.append(time.perf_counter() - start)
         seed[:] = [cluster]
 
@@ -130,9 +133,9 @@ def test_scalar_v2_stencil_wallclock(benchmark):
 
 
 def test_scalar_stencil_wallclock(benchmark):
-    """Reference wall-clock of the seed scalar engine on j3d27pt."""
+    """Reference wall-clock of the seed oracle on j3d27pt."""
     build = build_j3d27pt()
-    benchmark.pedantic(lambda: _run(build, "scalar"), rounds=1,
+    benchmark.pedantic(lambda: _run(build, ORACLE), rounds=1,
                        iterations=1)
 
 

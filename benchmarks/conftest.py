@@ -6,9 +6,16 @@ reproduction entry point.  Results computed once per session are cached
 so the table-printing benches don't re-simulate.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.eval.figures import fig3_data
+
+# The engine benchmarks time the shipped engines against the frozen seed
+# interpreter, which lives with the tests as their differential oracle.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 @pytest.fixture(scope="session")

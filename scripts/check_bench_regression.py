@@ -31,6 +31,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+# The calibration workload runs on the frozen seed interpreter, the test
+# oracle, so its timing never moves with engine optimizations.
+sys.path.insert(0, str(REPO / "tests"))
 
 #: Benchmarks gated by default (regex fragments matched against names).
 GATED = ("fastpath", "fig1", "vecop_wallclock", "scalar_v2",
@@ -38,21 +41,21 @@ GATED = ("fastpath", "fig1", "vecop_wallclock", "scalar_v2",
 
 
 def calibrate(rounds: int = 5) -> float:
-    """Seconds for a fixed scalar-engine simulation (best of rounds).
+    """Seconds for a fixed seed-interpreter simulation (best of rounds).
 
     The workload must be big enough to dominate interpreter startup
     jitter; the best-of keeps scheduler noise out of the scale factor.
     """
-    from repro.core.cluster import Cluster
+    from oracle import SeedCluster
     from repro.core.config import CoreConfig
     from repro.kernels.vecop import VecopVariant, build_vecop
 
     best = float("inf")
     for _ in range(rounds):
-        cfg = CoreConfig(engine="scalar")
+        cfg = CoreConfig(engine="scalar-v2")
         build = build_vecop(n=1024, variant=VecopVariant.CHAINING,
                             cfg=cfg)
-        cluster = Cluster(build.asm, cfg=cfg, symbols=build.symbols)
+        cluster = SeedCluster(build.asm, cfg=cfg, symbols=build.symbols)
         build.load_into(cluster)
         start = time.perf_counter()
         cluster.run()

@@ -43,7 +43,7 @@ Package map:
 
 from repro._lazy import attach
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "AreaModel",
@@ -86,9 +86,6 @@ __all__ = [
     "obs",
     "render_dataflow",
     "render_issue_trace",
-    "run_build",
-    "run_stencil_variant",
-    "run_system_stencil",
     "star3d1r",
     "workload",
 ]
@@ -97,7 +94,7 @@ __all__ = [
 # Every export loads its defining module on first access, so importing
 # one submodule (say repro.cli for a warm sweep) never pays for the
 # whole simulator.
-_export, __dir__ = attach(__name__, {
+__getattr__, __dir__ = attach(__name__, {
     "repro.api.result": ("Result", "SystemReport"),
     "repro.api.session": ("Session",),
     "repro.api.workloads": ("Workload", "make_workload", "workload"),
@@ -107,8 +104,7 @@ _export, __dir__ = attach(__name__, {
     "repro.energy.area": ("AreaModel",),
     "repro.energy.model": ("EnergyModel", "EnergyParams"),
     "repro.eval.report": ("geomean",),
-    "repro.eval.runner": ("RunResult", "run_build", "run_stencil_variant"),
-    "repro.eval.system_runner": ("run_system_stencil",),
+    "repro.eval.runner": ("RunResult",),
     "repro.isa.assembler": ("assemble",),
     "repro.isa.disassembler": ("disassemble",),
     "repro.isa.encoding": ("decode", "encode"),
@@ -128,12 +124,3 @@ _export, __dir__ = attach(__name__, {
     "repro.trace.render": ("render_dataflow", "render_issue_trace"),
 })
 
-
-def __getattr__(name: str):
-    # "Point" is deliberately NOT in __all__: a star import must not
-    # fire the deprecation warning for users who never touch it.
-    if name == "Point":
-        from repro.api.workloads import deprecated_point_alias
-
-        return deprecated_point_alias("repro.Point")
-    return _export(name)

@@ -266,16 +266,3 @@ def workload(kernel: str, variant, grid=None, n=None, loop_mode=None,
 #: Explicit-name alias of :func:`workload` (mirrors the retired
 #: ``make_point``).
 make_workload = workload
-
-
-def deprecated_point_alias(qualname: str) -> type:
-    """The one shim behind every deprecated ``Point`` import path
-    (``repro.Point``, ``repro.sweep.Point``, ``repro.sweep.spec.Point``
-    expose it via module ``__getattr__``); drop all three call sites
-    together when the deprecation window closes."""
-    import warnings
-    warnings.warn(
-        f"{qualname} is deprecated; use repro.api.Workload "
-        f"(identical fields, canonical form and cache keys)",
-        DeprecationWarning, stacklevel=3)
-    return Workload

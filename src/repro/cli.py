@@ -782,12 +782,47 @@ def cmd_list(args) -> int:
     return 0
 
 
+def _parent(*flags: tuple[str, dict]) -> argparse.ArgumentParser:
+    """A help-less parser holding ``flags``, shared via ``parents=``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name, kwargs in flags:
+        parent.add_argument(name, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Scalar-chaining reproduction harness (DATE 2025 LBR)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Flags shared by several subcommands, each defined once.
+    engine = _parent(("--engine", dict(
+        choices=ENGINES, default=None,
+        help="execution engine: 'auto' (default) runs the vectorized "
+             "FREP/SSR fast path where eligible and 'scalar-v2', the "
+             "pre-decoded micro-op engine, elsewhere; 'scalar-v2' alone "
+             "(bit-identical results); 'analytical' estimates in closed "
+             "form.  Part of the result-cache key")))
+    pool = _parent(
+        ("--workers", dict(type=int, default=None,
+                           help="process count (default: all cores; "
+                                "campaigns run serially at 0 or 1)")),
+        ("--timeout", dict(type=float, default=None,
+                           help="per-point wall-clock budget in seconds "
+                                "(a served job's own timeout wins)")))
+    store = _parent(("--cache-dir", dict(
+        default=".sweep-cache",
+        help="result store directory (default .sweep-cache)")))
+    cache = _parent(("--no-cache", dict(
+        action="store_true", help="re-simulate every point")))
+    grid = _parent(*((f"--{axis}", dict(type=int))
+                     for axis in ("nz", "ny", "nx")))
+    campaign = _parent(
+        ("--preset", dict(help="named campaign: "
+                               + ", ".join(sorted(PRESETS)))),
+        ("--spec", dict(help="JSON/TOML sweep spec file")))
 
     p = sub.add_parser("fig1", help="Fig. 1 vector-op variants")
     p.add_argument("--n", type=int, default=256)
@@ -804,12 +839,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p.set_defaults(func=cmd_claims)
 
-    p = sub.add_parser("run", help="run one kernel/variant")
+    p = sub.add_parser("run", parents=[grid],
+                       help="run one kernel/variant")
     p.add_argument("--kernel", default="box3d1r")
     p.add_argument("--variant", default="Chaining+")
-    p.add_argument("--nz", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--nx", type=int)
     p.add_argument("--num-clusters", type=int, default=1,
                    help="run on a multi-cluster system with this many "
                         "clusters (domain-decomposed halo exchange)")
@@ -839,26 +872,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p.set_defaults(func=cmd_area)
 
-    p = sub.add_parser("sweep", help="run an experiment campaign")
-    p.add_argument("--preset", help="named campaign: "
-                   + ", ".join(sorted(PRESETS)))
-    p.add_argument("--spec", help="JSON/TOML sweep spec file")
-    p.add_argument("--cache-dir", default=".sweep-cache",
-                   help="content-addressed result cache directory")
-    p.add_argument("--no-cache", action="store_true",
-                   help="re-simulate every point")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: all cores; 0/1: serial)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-point wall-clock budget in seconds")
-    p.add_argument("--engine", choices=ENGINES, default=None,
-                   help="execution engine for every point (bit-identical "
-                        "results; 'fast' vectorizes eligible FREP/SSR "
-                        "regions, 'scalar-v2' is the pre-decoded "
-                        "micro-op engine, 'scalar' is the cycle-by-cycle "
-                        "reference, 'auto' composes fast + scalar-v2, "
-                        "default: config's own choice); "
-                        "part of the result-cache key")
+    p = sub.add_parser("sweep",
+                       parents=[campaign, store, cache, pool, engine],
+                       help="run an experiment campaign")
     p.add_argument("--num-clusters", type=int, default=None,
                    help="run every stencil point on this many clusters "
                         "(adds the system axes to labels + cache keys)")
@@ -901,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("serve",
+    p = sub.add_parser("serve", parents=[pool, engine],
                        help="run the async simulation-as-a-service job "
                             "layer (HTTP; see docs/serve.md)")
     p.add_argument("--host", default="127.0.0.1",
@@ -911,17 +927,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default=".serve-store",
                    help="result store + job journal directory "
                         "(default .serve-store)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="simulation pool width (default: all cores)")
     p.add_argument("--max-queue", type=int, default=1024,
                    help="pending-point queue bound; submissions beyond "
                         "it get HTTP 429 (default 1024)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="default per-point wall-clock budget in seconds "
-                        "(a job's own timeout wins)")
-    p.add_argument("--engine", choices=ENGINES, default=None,
-                   help="execution engine for every served point "
-                        "(cache-key ingredient)")
     p.add_argument("--prune-interval", type=float, default=None,
                    help="seconds between store prunes (default: never)")
     p.add_argument("--prune-max-bytes", type=int, default=None,
@@ -937,10 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result-store maintenance (prune)")
     cache_sub = p.add_subparsers(dest="cache_cmd", required=True)
     p = cache_sub.add_parser(
-        "prune", help="evict cold shards, LRU by shard mtime "
-                      "(failure-log aware)")
-    p.add_argument("--cache-dir", default=".sweep-cache",
-                   help="result store to prune (default .sweep-cache)")
+        "prune", parents=[store],
+        help="evict cold shards, LRU by shard mtime (failure-log aware)")
     p.add_argument("--max-bytes", type=int, default=None,
                    help="evict oldest shards until the rest fit")
     p.add_argument("--max-age-days", type=float, default=None,
@@ -950,22 +956,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p.set_defaults(func=cmd_cache_prune)
 
-    p = sub.add_parser("calibrate",
+    p = sub.add_parser("calibrate", parents=[campaign, store, cache, pool],
                        help="cross-validate the analytical model against "
-                            "a cycle-accurate engine and fit per-family "
-                            "error bounds (repro-calibration/v1)")
-    p.add_argument("--preset", help="named campaign: "
-                   + ", ".join(sorted(PRESETS)))
-    p.add_argument("--spec", help="JSON/TOML sweep spec file (default: "
-                                  "the built-in cross-validation spec)")
-    p.add_argument("--cache-dir", default=".sweep-cache",
-                   help="result cache for the cycle-accurate runs")
-    p.add_argument("--no-cache", action="store_true",
-                   help="re-simulate every point")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: all cores; 0/1: serial)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-point wall-clock budget in seconds")
+                            "a cycle-accurate engine (default campaign: "
+                            "the built-in cross-validation spec) and fit "
+                            "per-family error bounds (repro-calibration/v1)")
     p.add_argument("--engine",
                    choices=[e for e in ENGINES if e != "analytical"],
                    default="auto",
@@ -982,21 +977,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("audit",
+    p = sub.add_parser("audit", parents=[campaign, store, pool, engine],
                        help="campaign coverage, gap report and backfill "
-                            "against the result store")
-    p.add_argument("--preset", help="named campaign: "
-                   + ", ".join(sorted(PRESETS)))
-    p.add_argument("--spec", help="JSON/TOML sweep spec file")
-    p.add_argument("--cache-dir", default=".sweep-cache",
-                   help="result store to audit (default .sweep-cache)")
-    p.add_argument("--engine", choices=ENGINES, default=None,
-                   help="campaign engine context (cache-key ingredient; "
-                        "must match the sweep being audited)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count for --backfill execution")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-point wall-clock budget for --backfill")
+                            "against the result store (--engine must "
+                            "match the audited sweep; --workers and "
+                            "--timeout apply to --backfill)")
     p.add_argument("--backfill", action="store_true",
                    help="execute the plan: simulate exactly the gaps "
                         "(missing, stale re-keys, budgeted retries)")
@@ -1018,17 +1003,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("profile",
+    p = sub.add_parser("profile", parents=[grid, engine],
                        help="cProfile one kernel/variant, print hotspots")
     p.add_argument("--kernel", default="j3d27pt")
     p.add_argument("--variant", default="Chaining+")
-    p.add_argument("--engine", choices=ENGINES, default=None,
-                   help="execution engine to profile (default: auto)")
     p.add_argument("--top", type=int, default=15,
                    help="rows per hotspot table")
-    p.add_argument("--nz", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--nx", type=int)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("list", help="available kernels and variants")

@@ -92,32 +92,21 @@ class Cluster:
             trace.attach(self.fp)
         self.cycle = 0
         self._single = num_cores == 1
-        #: Micro-op engine selection (pre-decoded dispatch + idle-cycle
-        #: fast-forwarding); bit-identical to the seed interpreter and
-        #: trace-safe, so it stays on under a trace recorder.
-        self._v2 = self.cfg.uses_uops
         self._fp_qdepth = self.cfg.fp_queue_depth
-        #: Idle-cycle fast-forward statistics (scalar-v2 engine).
+        #: Idle-cycle fast-forward statistics.
         self.ff_stats = {"spans": 0, "cycles": 0}
         #: Track name for this cluster's simulated-cycle obs events;
         #: a surrounding System renames it per cluster index.
         self.obs_lane = "cluster"
         # Vectorized FREP/SSR fast path (repro.core.fastpath): attached
-        # to core 0, engaged only when the detector proves a hardware
-        # loop safe.  Tracing needs every per-issue event, so "auto"
-        # silently runs without it under a trace; "fast" makes that an
-        # error instead.
+        # to core 0 under engine "auto", engaged only when the detector
+        # proves a hardware loop safe.  Tracing needs every per-issue
+        # event, so a traced cluster runs without it.
         self.fastpath = None
-        if self.cfg.engine in ("auto", "fast"):
-            if trace is not None:
-                if self.cfg.engine == "fast":
-                    raise ValueError(
-                        "engine='fast' cannot be combined with tracing; "
-                        "use engine='auto' or engine='scalar'")
-            else:
-                from repro.core.fastpath import FastPathEngine
+        if self.cfg.engine == "auto" and trace is None:
+            from repro.core.fastpath import FastPathEngine
 
-                self.fastpath = FastPathEngine(self)
+            self.fastpath = FastPathEngine(self)
 
     def load_program(self, program: Program | str,
                      symbols: dict[str, int] | None = None) -> None:
@@ -185,11 +174,32 @@ class Cluster:
 
     @property
     def done(self) -> bool:
-        """Program halted and every decoupled unit has drained."""
-        return (all(core.halted for core in self.cores)
-                and all(fp.idle and fp.streamers_done()
-                        for fp in self.fps)
-                and self.dma.idle)
+        """Program halted and every decoupled unit has drained.
+
+        Equivalent to every core halted, every ``fp.idle`` and
+        ``fp.streamers_done()``, and ``dma.idle``, tested on the
+        attributes directly.
+        """
+        if self.dma._queue:
+            return False
+        for core in self.cores:
+            if not core.halted:
+                return False
+        for fp in self.fps:
+            seq = fp.sequencer
+            if seq.queue or seq._active or fp.pipe.in_flight \
+                    or fp.sync_ready:
+                return False
+            lsu = fp.lsu
+            if lsu._pending_load is not None or lsu._pending_store \
+                    or lsu._blocked_value is not None \
+                    or lsu.port._pending is not None \
+                    or lsu.port._response_ready:
+                return False
+            for s in fp.streamers:
+                if not s.done:
+                    return False
+        return True
 
     def _release_barrier(self) -> None:
         """Open the cluster barrier once every live core has arrived.
@@ -212,56 +222,34 @@ class Cluster:
             self.perf.bump("barriers")
 
     def step(self) -> None:
-        """Advance the whole cluster by one cycle."""
-        if self._v2:
-            self._step_v2()
-        else:
-            self._step_seed()
-
-    def _step_seed(self) -> None:
-        """The seed per-cycle loop (engines ``scalar`` and ``fast``)."""
-        for fp, core in zip(self.fps, self.cores):
-            fp.step(self.cycle)
-            core.step(self.cycle)
-            for streamer in fp.streamers:
-                streamer.step()
-        self._release_barrier()
-        self.dma.step()
-        self.tcdm.arbitrate()
-        self.cycle += 1
-        self.perf.cycles = self.cycle
-        if self.fastpath is not None:
-            self.fastpath.observe()
-
-    def _step_v2(self) -> None:
-        """Micro-op per-cycle loop: same component order and semantics as
-        :meth:`_step_seed`, with idle components skipped by cheap state
-        tests (each skipped call is a proven no-op)."""
+        """Advance the whole cluster by one cycle, in the component order
+        of the module docstring, with idle components skipped by cheap
+        state tests (each skipped call is a proven no-op)."""
         cycle = self.cycle
         if self._single:
             fp = self.fp
             core = self.core
-            fp.step_v2(cycle)
-            core.step_v2(cycle)
+            fp.step(cycle)
+            core.step(cycle)
             for streamer in fp.streamers:
-                step = streamer.step_v2
+                step = streamer.step
                 if step is not None:
                     step()
             if core.barrier_wait:
                 self._release_barrier()
         else:
             for fp, core in zip(self.fps, self.cores):
-                fp.step_v2(cycle)
-                core.step_v2(cycle)
+                fp.step(cycle)
+                core.step(cycle)
                 for streamer in fp.streamers:
-                    step = streamer.step_v2
+                    step = streamer.step
                     if step is not None:
                         step()
             self._release_barrier()
         dma = self.dma
         if dma._queue:
             dma.step()
-        self.tcdm.arbitrate_v2()
+        self.tcdm.arbitrate()
         self.cycle = cycle + 1
         self.perf.cycles = self.cycle
         fastpath = self.fastpath
@@ -281,37 +269,31 @@ class Cluster:
         core = self.core
         cores = self.cores
         single_core = self._single
-        v2 = self._v2
         fp0_queue = self.fp.sequencer.queue
         qdepth = self._fp_qdepth
         ff_cooldown = 0
         while True:
             if (core.halted if single_core
-                    else all(c.halted for c in cores)) \
-                    and (self._done_v2() if v2 else self.done):
+                    else all(c.halted for c in cores)) and self.done:
                 break
             if self.cycle >= max_cycles:
                 raise SimulationTimeout(
                     f"no completion after {max_cycles} cycles "
                     f"(pc={self.core.pc:#x}, halted={self.core.halted})"
                 )
-            if v2:
-                # Fast-forwarding needs every core blocked; test core 0
-                # inline so active cycles pay a few comparisons at most.
-                if (core.halted or core.barrier_wait
-                        or core.waiting_sync is not None
-                        or core.stall_until > self.cycle
-                        or len(fp0_queue) >= qdepth) \
-                        and self.cycle >= ff_cooldown \
-                        and self._ff_candidate():
-                    skipped = self._try_fast_forward(max_cycles)
-                    if not skipped:
-                        ff_cooldown = self.cycle + _FF_COOLDOWN
-                        self._step_v2()
-                else:
-                    self._step_v2()
+            # Fast-forwarding needs every core blocked; test core 0
+            # inline so active cycles pay a few comparisons at most.
+            if (core.halted or core.barrier_wait
+                    or core.waiting_sync is not None
+                    or core.stall_until > self.cycle
+                    or len(fp0_queue) >= qdepth) \
+                    and self.cycle >= ff_cooldown \
+                    and self._ff_candidate():
+                if not self._try_fast_forward(max_cycles):
+                    ff_cooldown = self.cycle + _FF_COOLDOWN
+                    self.step()
             else:
-                self._step_seed()
+                self.step()
             if core.halted:
                 token = self._progress_token()
                 quiet_cycles = 0 if token != last_progress else \
@@ -345,30 +327,7 @@ class Cluster:
             waiting,
         )
 
-    def _done_v2(self) -> bool:
-        """Attribute-direct equivalent of :attr:`done` for the v2 loop."""
-        if self.dma._queue:
-            return False
-        for core in self.cores:
-            if not core.halted:
-                return False
-        for fp in self.fps:
-            seq = fp.sequencer
-            if seq.queue or seq._active or fp.pipe.in_flight \
-                    or fp.sync_ready:
-                return False
-            lsu = fp.lsu
-            if lsu._pending_load is not None or lsu._pending_store \
-                    or lsu._blocked_value is not None \
-                    or lsu.port._pending is not None \
-                    or lsu.port._response_ready:
-                return False
-            for s in fp.streamers:
-                if not s.done:
-                    return False
-        return True
-
-    # -- idle-cycle fast-forwarding (scalar-v2) -----------------------------
+    # -- idle-cycle fast-forwarding ------------------------------------------
     #
     # Quiescence protocol: a cycle is *dead* when every component either
     # cannot change state before a known future cycle (its horizon) or
@@ -652,7 +611,7 @@ class Cluster:
         perf = self.perf
         vals0 = list(perf.values)
         stalls0 = dict(perf.stalls)
-        self._step_v2()  # the measured dead cycle
+        self.step()  # the measured dead cycle
         if self._quiet_signature(dma_active) != sig0:
             return True  # misclassified: one normal step was taken
         # Replay the measured per-cycle delta over the remaining span.

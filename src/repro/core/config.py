@@ -14,7 +14,7 @@ from repro.isa.instructions import InstrClass
 #: Valid execution-engine selections (see :attr:`CoreConfig.engine`).
 #: The single source of truth -- the CLI, the sweep layer and
 #: :mod:`repro.api.parse` all validate against this tuple.
-ENGINES = ("auto", "fast", "scalar", "scalar-v2", "analytical")
+ENGINES = ("auto", "scalar-v2", "analytical")
 
 
 def _default_fpu_latency() -> dict[InstrClass, int]:
@@ -89,21 +89,15 @@ class CoreConfig:
 
     #: Execution engine:
     #:
-    #: * ``"auto"`` (default) -- compose both accelerated engines: the
-    #:   vectorized FREP/SSR fast path (:mod:`repro.core.fastpath`) on
-    #:   eligible hardware-loop regions, and the scalar-v2 micro-op
-    #:   engine (pre-decoded dispatch plus idle-cycle fast-forwarding,
-    #:   :mod:`repro.core.uops`) everywhere else.  With a trace recorder
-    #:   attached the fast path silently stands down (it skips per-issue
-    #:   events) while the micro-op engine keeps running -- it emits
-    #:   every trace event exactly like the seed interpreter;
+    #: * ``"auto"`` (default) -- the vectorized FREP/SSR fast path
+    #:   (:mod:`repro.core.fastpath`) on eligible hardware-loop regions,
+    #:   and the scalar-v2 micro-op engine (pre-decoded dispatch plus
+    #:   idle-cycle fast-forwarding, :mod:`repro.core.uops`) everywhere
+    #:   else.  With a trace recorder attached the fast path silently
+    #:   stands down (it skips per-issue events) while the micro-op
+    #:   engine keeps running -- it emits every trace event;
     #: * ``"scalar-v2"`` -- the micro-op engine alone, never the
     #:   vectorized fast path;
-    #: * ``"fast"`` -- the vectorized fast path over the seed scalar
-    #:   interpreter; attaching a trace recorder is an error instead of
-    #:   a silent fallback;
-    #: * ``"scalar"`` -- the seed cycle-by-cycle interpreter (the
-    #:   reference model);
     #: * ``"analytical"`` -- no simulation at all: the closed-form
     #:   cycle/energy estimator (:mod:`repro.analytical`).  Estimates
     #:   carry ``Result.meta["fidelity"] = "analytical"`` and are only
@@ -111,10 +105,11 @@ class CoreConfig:
     #:   (see ``docs/fidelity.md``); a :class:`~repro.core.cluster.
     #:   Cluster` never sees this engine.
     #:
-    #: All cycle-accurate engines (everything except ``"analytical"``)
-    #: are bit-identical in every architecturally visible quantity:
-    #: results, cycle counts, perf counters, stall breakdowns, SSR/TCDM
-    #: traffic statistics, trace events and therefore energy.
+    #: Both cycle-accurate engines are bit-identical in every
+    #: architecturally visible quantity -- results, cycle counts, perf
+    #: counters, stall breakdowns, SSR/TCDM traffic statistics, trace
+    #: events and therefore energy -- to each other and to the frozen
+    #: seed interpreter kept as the test oracle in ``tests/oracle/``.
     engine: str = "auto"
 
     #: Clock frequency used to convert cycles to time and energy to power.
@@ -142,11 +137,6 @@ class CoreConfig:
             raise ValueError(
                 f"engine must be one of {choices} or '{ENGINES[-1]}', "
                 f"got {self.engine!r}")
-
-    @property
-    def uses_uops(self) -> bool:
-        """True when the micro-op (scalar-v2) engine drives the cores."""
-        return self.engine in ("auto", "scalar-v2")
 
 
 @dataclass

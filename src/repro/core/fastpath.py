@@ -44,9 +44,10 @@ fidelity:
    TCDM traffic all land exactly where the scalar model would have put
    them -- the loop tail then drains through the scalar path.
 
-The engine is selected by ``CoreConfig.engine`` (``"auto"``/``"fast"``/
-``"scalar"``) and is attached per cluster to compute core 0; it only
-engages while every other core is halted and drained.
+It runs under ``CoreConfig.engine = "auto"`` (untraced) and is attached
+per cluster to compute core 0; it only engages while every other core
+is halted and drained.  Its differential tests compare it against the
+frozen seed interpreter in ``tests/oracle/``.
 """
 
 from __future__ import annotations

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from repro.core.chaining import ChainController
 from repro.core.config import CoreConfig
-from repro.core.fpu import FpuPipe, execute_fp
+from repro.core.fpu import FpuPipe
 from repro.core.lsu import FpLsu
 from repro.core.perf import SLOT, PerfCounters, StallReason
 from repro.core.regfile import FpRegFile
 from repro.core.sequencer import DispatchedEntry, Sequencer
 from repro.isa.csr import CSR
-from repro.isa.instructions import Instr, InstrClass
+from repro.isa.instructions import Instr
 from repro.mem.tcdm import Tcdm
 from repro.ssr.config import split_cfg_addr
 from repro.ssr.streamer import SsrStreamer
@@ -65,9 +65,9 @@ class FpSubsystem:
         # Synchronization channel back to the integer core.
         self.sync_ready = False
         self._sync_value: int = 0
-        # Structural constants used by the micro-op (scalar-v2) issue
-        # path; the counter slots themselves are the module-level
-        # ``SLOT`` constants shared by the lowered closures.
+        # Structural constants used by the micro-op issue path; the
+        # counter slots themselves are the module-level ``SLOT``
+        # constants shared by the lowered closures.
         self._pvals = perf.values
         self._num_streamers = len(self.streamers)
         self._pipe_depth = cfg.fpu_pipe_depth
@@ -76,10 +76,6 @@ class FpSubsystem:
 
     def queue_space(self) -> int:
         return self.sequencer.space()
-
-    def dispatch(self, entry: DispatchedEntry) -> None:
-        self.sequencer.dispatch(entry)
-        self.perf.bump("fp_dispatches")
 
     def take_sync(self) -> int:
         """Consume a pending synchronization result."""
@@ -136,69 +132,11 @@ class FpSubsystem:
                 return StallReason.SSR_EMPTY
         return StallReason.NONE
 
-    def _read_sources(self, sources: list[int]) -> list[float]:
-        """Read (and pop) the operands.
-
-        A chaining register named in several operand positions of one
-        instruction is popped *once* -- the architectural register has a
-        single read port and all positions see the same value.  Stream
-        registers, by contrast, pop once per operand position (each read
-        port of the FPU consumes a stream element, as on Snitch).
-        """
-        values = []
-        chain_seen: dict[int, float] = {}
-        for reg in sources:
-            if self._is_stream_reg(reg):
-                values.append(self.streamers[reg].pop())
-                self.perf.bump("ssr_reg_reads")
-            elif self.chain.enabled(reg):
-                if reg not in chain_seen:
-                    chain_seen[reg] = self.fpregs.read(reg)
-                    self.perf.bump("chain_pops")
-                values.append(chain_seen[reg])
-            else:
-                values.append(self.fpregs.read(reg))
-                self.perf.bump("fp_rf_reads")
-        return values
-
-    def _candidate_pops(self, sources: list[int]) -> set[int]:
-        """Chaining registers the candidate instruction would pop."""
-        return {reg for reg in sources
-                if not self._is_stream_reg(reg) and self.chain.enabled(reg)}
-
-    def _wb_would_accept(self, cycle: int,
-                         candidate_pops: set[int]) -> bool:
-        """Predict whether the head writeback succeeds this cycle."""
-        if not self.pipe.head_complete(cycle):
-            return False
-        op = self.pipe.head()
-        if op.sync:
-            return not self.sync_ready
-        if op.dest_is_ssr:
-            return self.streamers[op.dest].can_push()
-        if self.chain.enabled(op.dest):
-            if self.chain.can_push(op.dest):
-                return True
-            return (self.chain.concurrent_push_pop
-                    and op.dest in candidate_pops)
-        return True
-
     # -- the cycle ------------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        self.chain.begin_cycle()
-        lsu_commits = self.lsu.step()
-        self._issue(cycle)
-        self._writeback(cycle)
-        for dest, value in lsu_commits:
-            if not self.fpregs.try_writeback(dest, value):
-                self.lsu.block(dest, value)
-            else:
-                self.perf.bump("fp_rf_writes")
-
-    def step_v2(self, cycle: int) -> None:
-        """Micro-op variant of :meth:`step`: same phases, same semantics,
-        with the per-cycle no-op calls compiled down to attribute tests."""
+        """Advance by one cycle through the phases above, with the
+        per-cycle no-op calls compiled down to attribute tests."""
         chain = self.chain
         if chain._popped_this_cycle:
             chain._popped_this_cycle.clear()
@@ -256,7 +194,7 @@ class FpSubsystem:
             uop(self, entry, cycle)
         pipe = self.pipe
         if pipe.in_flight and pipe.in_flight[0].completes_at <= cycle:
-            self._writeback_v2(cycle)
+            self._writeback(cycle)
         if lsu_commits:
             for dest, value in lsu_commits:
                 if not self.fpregs.try_writeback(dest, value):
@@ -272,10 +210,9 @@ class FpSubsystem:
         else:
             seq.queue.popleft()
 
-    def _writeback_v2(self, cycle: int) -> None:
-        """Micro-op writeback: the caller has established a complete
-        pipe head; semantics are identical to :meth:`_writeback` with
-        the regfile/chain hand-offs inlined."""
+    def _writeback(self, cycle: int) -> None:
+        """Writeback phase: the caller has established a complete pipe
+        head.  The regfile/chain hand-offs are inlined."""
         pipe = self.pipe
         in_flight = pipe.in_flight
         op = in_flight[0]
@@ -317,158 +254,7 @@ class FpSubsystem:
 
     # -- issue phase -------------------------------------------------------------
 
-    def _issue(self, cycle: int) -> None:
-        entry = self.sequencer.peek()
-        if entry is None:
-            self.perf.stall(StallReason.QUEUE_EMPTY)
-            return
-        instr = entry.instr
-        iclass = instr.iclass
-
-        if iclass is InstrClass.FREP:
-            # Arm the replay engine, then drop the frep instruction itself
-            # (begin_frep only reads it; the body follows in the queue).
-            self.sequencer.begin_frep(entry)
-            self.sequencer.queue.popleft()
-            self.perf.bump("frep_ops")
-            self._trace_issue(cycle, instr, "frep")
-            return
-
-        if iclass is InstrClass.CSR:
-            self._apply_csr(entry)
-            self.sequencer.advance()
-            self.perf.bump("fp_csr_ops")
-            self._trace_issue(cycle, instr, "csr")
-            return
-
-        if iclass is InstrClass.SCFG:
-            self._apply_scfg(entry)
-            self.sequencer.advance()
-            self.perf.bump("scfg_ops")
-            self._trace_issue(cycle, instr, "scfg")
-            return
-
-        if iclass is InstrClass.FP_LOAD:
-            self._issue_load(cycle, entry)
-            return
-
-        if iclass is InstrClass.FP_STORE:
-            self._issue_store(cycle, entry)
-            return
-
-        self._issue_compute(cycle, entry)
-
-    def _issue_load(self, cycle: int, entry: DispatchedEntry) -> None:
-        instr = entry.instr
-        if self.lsu.busy:
-            self.perf.stall(StallReason.LSU_BUSY)
-            return
-        dest = instr.rd
-        if self._is_stream_reg(dest):
-            raise RuntimeError(
-                f"fld into stream register f{dest} while SSRs are enabled")
-        if not self.fpregs.can_write(dest):
-            self.perf.stall(StallReason.WAW)
-            return
-        self.fpregs.allocate(dest)
-        self.lsu.issue_load(entry.vals["addr"], dest)
-        self.sequencer.advance()
-        self.perf.bump("fp_lsu_ops")
-        self.perf.bump("fp_loads")
-        self._trace_issue(cycle, instr, "load")
-
-    def _issue_store(self, cycle: int, entry: DispatchedEntry) -> None:
-        instr = entry.instr
-        if self.lsu.busy:
-            self.perf.stall(StallReason.LSU_BUSY)
-            return
-        src = instr.rs2
-        reason = self._sources_ready([src])
-        if reason is not StallReason.NONE:
-            self.perf.stall(reason)
-            return
-        value = self._read_sources([src])[0]
-        self.lsu.issue_store(entry.vals["addr"], value)
-        self.sequencer.advance()
-        self.perf.bump("fp_lsu_ops")
-        self.perf.bump("fp_stores")
-        self._trace_issue(cycle, instr, "store")
-
-    def _issue_compute(self, cycle: int, entry: DispatchedEntry) -> None:
-        instr = entry.instr
-        spec = instr.spec
-        sources = self._fp_sources(instr)
-        reason = self._sources_ready(sources)
-        if reason is not StallReason.NONE:
-            self.perf.stall(reason)
-            return
-
-        sync = spec.rd_domain == "x"       # feq/flt/fle, fcvt.w.d
-        dest = None if sync else instr.rd
-        dest_is_ssr = dest is not None and self._is_stream_reg(dest)
-        if dest is not None and not dest_is_ssr:
-            if not self.fpregs.can_write(dest):
-                self.perf.stall(StallReason.WAW)
-                return
-
-        candidate_pops = self._candidate_pops(sources)
-        head_retires = self._wb_would_accept(cycle, candidate_pops)
-        if not self.pipe.can_accept(cycle, instr.iclass, head_retires):
-            if (self.pipe.head_complete(cycle) and not head_retires
-                    and not self.pipe.has_unpipelined_in_flight()):
-                self.perf.stall(StallReason.CHAIN_BACKPRESSURE)
-            else:
-                self.perf.stall(StallReason.FPU_BUSY)
-            return
-
-        # Commit the issue: pop/read operands and execute.
-        operand_values: list[float] = []
-        source_iter = iter(self._read_sources(sources))
-        if spec.rs1_domain == "x":          # fcvt.d.w reads an int operand
-            operand_values.append(float(entry.vals.get("rs1", 0)))
-        elif spec.rs1_domain == "f":
-            operand_values.append(next(source_iter))
-        if spec.rs2_domain == "f":
-            operand_values.append(next(source_iter))
-        if spec.rs3_domain == "f":
-            operand_values.append(next(source_iter))
-
-        result = execute_fp(instr.mnemonic, operand_values)
-        if dest is not None and not dest_is_ssr:
-            self.fpregs.allocate(dest)
-        self.pipe.issue(instr, dest, dest_is_ssr, result, cycle, sync)
-        self.sequencer.advance()
-        self.perf.bump("fpu_compute_ops")
-        self.perf.bump(f"fpu_{instr.iclass.name.lower()}")
-        self._trace_issue(cycle, instr, "compute")
-
     # -- writeback phase -----------------------------------------------------
-
-    def _writeback(self, cycle: int) -> None:
-        if not self.pipe.head_complete(cycle):
-            return
-        op = self.pipe.head()
-        if op.sync:
-            if self.sync_ready:
-                return  # previous sync result not consumed yet
-            self._deliver_sync(op.value)
-            self.pipe.retire_head()
-            return
-        if op.dest_is_ssr:
-            streamer = self.streamers[op.dest]
-            if not streamer.can_push():
-                return  # write FIFO full: pipe stalls
-            streamer.push(float(op.value))
-            self.perf.bump("ssr_reg_writes")
-            self.pipe.retire_head()
-            return
-        if not self.fpregs.try_writeback(op.dest, float(op.value)):
-            return  # chaining backpressure: pipe stalls
-        if self.chain.enabled(op.dest):
-            self.perf.bump("chain_pushes")
-        else:
-            self.perf.bump("fp_rf_writes")
-        self.pipe.retire_head()
 
     # -- CSR / SCFG side effects --------------------------------------------
 
@@ -527,6 +313,3 @@ class FpSubsystem:
         if not 0 <= ssr < len(self.streamers):
             raise RuntimeError(f"scfg access to nonexistent ssr{ssr}")
 
-    def _trace_issue(self, cycle: int, instr: Instr, kind: str) -> None:
-        if self.trace is not None:
-            self.trace.fp_issue(cycle, instr, kind)

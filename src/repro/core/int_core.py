@@ -23,14 +23,10 @@ from repro.core.config import CoreConfig
 from repro.core.fp_subsystem import FpSubsystem
 from repro.core.perf import PerfCounters
 from repro.core.regfile import IntRegFile
-from repro.core.sequencer import DispatchedEntry
 from repro.isa.assembler import Program
-from repro.isa.csr import CSR, is_fp_csr
-from repro.isa.instructions import Instr, InstrClass
+from repro.isa.csr import CSR
+from repro.isa.instructions import Instr
 from repro.mem.tcdm import Tcdm, TcdmPort
-
-_NEVER = 1 << 60
-
 
 def _signed(value: int) -> int:
     value &= 0xFFFFFFFF
@@ -106,9 +102,9 @@ class IntCore:
         self._pending_load_mn: str = "lw"
         self._mem = tcdm.mem
         self._decode_cache: dict[int, Instr] = {}
-        # Micro-op (scalar-v2) state: per-index lowered handlers for
-        # direct fetch, a pc-keyed cache for binary fetch, and
-        # pre-resolved perf slots for the blocked-state bumps.
+        # Micro-op state: per-index lowered handlers for direct fetch, a
+        # pc-keyed cache for binary fetch, and pre-resolved perf slots
+        # for the blocked-state bumps.
         self._uops: list = [None] * len(program.instrs)
         self._uop_cache: dict[int, Any] = {}
         self._pc_base = program.base
@@ -165,39 +161,8 @@ class IntCore:
     # -- the cycle ---------------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        self._collect_load(cycle)
-        if self.halted:
-            return
-        if self.barrier_wait:
-            self.perf.bump("int_barrier_stalls")
-            return
-        if self.waiting_sync is not None:
-            if self.fp.sync_ready:
-                value = self.fp.take_sync()
-                instr = self.waiting_sync
-                if instr.rd:
-                    self.regs.write(instr.rd, value, ready_cycle=cycle + 1)
-                self.waiting_sync = None
-            else:
-                self.perf.bump("int_sync_stalls")
-            return
-        if cycle < self.stall_until:
-            return
-        instr = self._fetch()
-        if instr is None:
-            raise RuntimeError(
-                f"integer core fell off the program at pc={self.pc:#x}; "
-                f"terminate programs with ebreak"
-            )
-        if instr.is_fp or (instr.iclass is InstrClass.CSR
-                           and is_fp_csr(instr.csr)):
-            self._dispatch_fp(cycle, instr)
-            return
-        self._execute_int(cycle, instr)
-
-    def step_v2(self, cycle: int) -> None:
-        """Micro-op variant of :meth:`step`: pre-decoded dispatch through
-        a per-index handler table instead of per-cycle class tests."""
+        """Advance by one cycle: pre-decoded dispatch through a
+        per-index table of lowered micro-ops (:mod:`repro.core.uops`)."""
         if self.port._response_ready:
             self._collect_load(cycle)
         if self.halted:
@@ -241,21 +206,11 @@ class IntCore:
         uop(cycle)
 
     def _fetch_uop(self):
-        """The lowered handler for the instruction at ``pc``, or None."""
+        """Binary fetch: the lowered handler for the instruction at
+        ``pc``, or None.  Decodes at the (possibly unaligned) pc through
+        the decode cache, then lowers the decoded record."""
         from repro.core.uops import lower_int  # deferred: mutual import
 
-        if not self.cfg.fetch_from_memory:
-            index = (self.pc - self._pc_base) // 4
-            uops = self._uops
-            if not 0 <= index < len(uops):
-                return None
-            uop = uops[index]
-            if uop is None:
-                uop = uops[index] = lower_int(
-                    self, self.program.instrs[index])
-            return uop
-        # Binary fetch decodes at the (possibly unaligned) pc exactly as
-        # the seed decode cache does, then lowers the decoded record.
         uop = self._uop_cache.get(self.pc)
         if uop is None:
             instr = self._fetch()
@@ -280,181 +235,7 @@ class IntCore:
 
     # -- FP dispatch ---------------------------------------------------------------
 
-    def _dispatch_fp(self, cycle: int, instr: Instr) -> None:
-        if self.fp.queue_space() <= 0:
-            self.perf.bump("int_dispatch_stalls")
-            return
-        vals: dict[str, int] = {}
-        sync = False
-        iclass = instr.iclass
-        spec = instr.spec
-
-        if iclass in (InstrClass.FP_LOAD, InstrClass.FP_STORE):
-            if not self._ready(cycle, instr.rs1):
-                self.perf.bump("int_hazard_stalls")
-                return
-            vals["addr"] = (self.regs.read(instr.rs1) + instr.imm) \
-                & 0xFFFFFFFF
-        elif iclass is InstrClass.FREP:
-            if not self._ready(cycle, instr.rs1):
-                self.perf.bump("int_hazard_stalls")
-                return
-            vals["rs1"] = self.regs.read(instr.rs1)
-        elif iclass is InstrClass.SCFG:
-            if instr.mnemonic == "scfgw":
-                if not self._ready(cycle, instr.rs1, instr.rs2):
-                    self.perf.bump("int_hazard_stalls")
-                    return
-                vals["rs1"] = self.regs.read(instr.rs1)
-                vals["rs2"] = self.regs.read(instr.rs2)
-            else:
-                if not self._ready(cycle, instr.rs1):
-                    self.perf.bump("int_hazard_stalls")
-                    return
-                vals["rs1"] = self.regs.read(instr.rs1)
-                sync = True
-        elif iclass is InstrClass.CSR:
-            if spec.rs1_domain == "x" and instr.mnemonic in (
-                    "csrrw", "csrrs", "csrrc"):
-                if not self._ready(cycle, instr.rs1):
-                    self.perf.bump("int_hazard_stalls")
-                    return
-                vals["rs1"] = self.regs.read(instr.rs1)
-            sync = instr.rd != 0
-        elif spec.rd_domain == "x":
-            # FP compare / fcvt.w.d: result returns to the integer core.
-            sync = True
-        elif spec.rs1_domain == "x":
-            # fcvt.d.w: signed integer operand captured at dispatch.
-            if not self._ready(cycle, instr.rs1):
-                self.perf.bump("int_hazard_stalls")
-                return
-            vals["rs1"] = self.regs.read_signed(instr.rs1)
-
-        self.fp.dispatch(DispatchedEntry(instr, vals, sync))
-        self.perf.bump("int_instrs")
-        if self.trace is not None:
-            self.trace.int_issue(cycle, instr, dispatched=True)
-        self.pc += 4
-        if sync:
-            self.waiting_sync = instr
-
     # -- integer execution ---------------------------------------------------------
-
-    def _execute_int(self, cycle: int, instr: Instr) -> None:
-        mn = instr.mnemonic
-        iclass = instr.iclass
-        regs = self.regs
-
-        if iclass in (InstrClass.INT_ALU, InstrClass.INT_MUL,
-                      InstrClass.INT_DIV):
-            if not self._execute_alu(cycle, instr):
-                return
-        elif iclass is InstrClass.LOAD:
-            if not self._ready(cycle, instr.rs1):
-                self.perf.bump("int_hazard_stalls")
-                return
-            if self.port.busy or self._pending_load_rd is not None:
-                self.perf.bump("int_lsu_stalls")
-                return
-            addr = (regs.read(instr.rs1) + instr.imm) & 0xFFFFFFFF
-            width = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}[mn]
-            self.port.request(addr, width=width)
-            self._pending_load_rd = instr.rd
-            self._pending_load_mn = mn
-            regs.set_ready(instr.rd, _NEVER)
-            self.pc += 4
-        elif iclass is InstrClass.STORE:
-            if not self._ready(cycle, instr.rs1, instr.rs2):
-                self.perf.bump("int_hazard_stalls")
-                return
-            if self.port.busy or self._pending_load_rd is not None:
-                self.perf.bump("int_lsu_stalls")
-                return
-            addr = (regs.read(instr.rs1) + instr.imm) & 0xFFFFFFFF
-            width = {"sb": 1, "sh": 2, "sw": 4}[mn]
-            self.port.request(addr, is_write=True, data=regs.read(instr.rs2),
-                              width=width)
-            self.pc += 4
-        elif iclass is InstrClass.BRANCH:
-            if not self._ready(cycle, instr.rs1, instr.rs2):
-                self.perf.bump("int_hazard_stalls")
-                return
-            taken = _BRANCH_OPS[mn](regs.read(instr.rs1),
-                                    regs.read(instr.rs2))
-            if taken:
-                self.pc += instr.imm
-                self.stall_until = cycle + 1 + self.cfg.branch_penalty
-                self.perf.bump("branches_taken")
-            else:
-                self.pc += 4
-                self.perf.bump("branches_not_taken")
-        elif iclass is InstrClass.JUMP:
-            if mn == "jal":
-                regs.write(instr.rd, self.pc + 4, ready_cycle=cycle + 1)
-                self.pc += instr.imm
-            else:  # jalr
-                if not self._ready(cycle, instr.rs1):
-                    self.perf.bump("int_hazard_stalls")
-                    return
-                target = (regs.read(instr.rs1) + instr.imm) & ~1
-                regs.write(instr.rd, self.pc + 4, ready_cycle=cycle + 1)
-                self.pc = target
-            self.stall_until = cycle + 1 + self.cfg.jump_penalty
-        elif iclass is InstrClass.CSR:
-            self._execute_csr(cycle, instr)
-            self.pc += 4
-        elif iclass is InstrClass.DMA:
-            if not self._execute_dma(cycle, instr):
-                return
-            self.pc += 4
-        elif iclass is InstrClass.SYS:
-            self.halted = True
-            self.pc += 4
-        else:  # pragma: no cover
-            raise RuntimeError(f"integer core cannot execute {mn}")
-
-        self.perf.bump("int_instrs")
-        if self.trace is not None:
-            self.trace.int_issue(cycle, instr, dispatched=False)
-
-    def _execute_alu(self, cycle: int, instr: Instr) -> bool:
-        mn = instr.mnemonic
-        regs = self.regs
-        if mn in ("lui", "auipc"):
-            value = (instr.imm << 12) & 0xFFFFFFFF
-            if mn == "auipc":
-                value = (value + self.pc) & 0xFFFFFFFF
-            regs.write(instr.rd, value, ready_cycle=cycle + 1)
-            self.pc += 4
-            return True
-        if not self._ready(cycle, instr.rs1):
-            self.perf.bump("int_hazard_stalls")
-            return False
-        a = regs.read(instr.rs1)
-        if mn in _IMM_TO_ALU:
-            b = instr.imm
-            base_mn = _IMM_TO_ALU[mn]
-        else:
-            if not self._ready(cycle, instr.rs2):
-                self.perf.bump("int_hazard_stalls")
-                return False
-            b = regs.read(instr.rs2)
-            base_mn = mn
-
-        latency = 1
-        if instr.iclass is InstrClass.INT_MUL:
-            latency = self.cfg.int_mul_latency
-            result = self._mul(base_mn, a, b)
-        elif instr.iclass is InstrClass.INT_DIV:
-            latency = self.cfg.int_div_latency
-            result = self._div(base_mn, a, b)
-        else:
-            result = _ALU_OPS[base_mn](a, b)
-        regs.write(instr.rd, result & 0xFFFFFFFF,
-                   ready_cycle=cycle + latency)
-        self.pc += 4
-        return True
 
     @staticmethod
     def _mul(mn: str, a: int, b: int) -> int:

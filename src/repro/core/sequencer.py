@@ -41,7 +41,7 @@ class DispatchedEntry:
     sync: bool = False
     #: Pre-lowered issue micro-op (:func:`repro.core.uops.lower_fp`),
     #: attached at dispatch by the scalar-v2 engine and lazily filled in
-    #: for entries that arrive without one.  Unused by the seed engine.
+    #: for entries that arrive without one.
     uop: Any = None
 
 

@@ -1,7 +1,8 @@
 """Micro-op lowering: pre-decoded dispatch for the scalar-v2 engine.
 
-The seed interpreter re-discovers the same facts about an instruction on
-every cycle it executes: its timing class (an enum property chain), its
+The seed interpreter (kept as the test oracle in ``tests/oracle/``)
+re-discovers the same facts about an instruction on every cycle it
+executes: its timing class (an enum property chain), its
 operand domains, the ALU/branch callable behind its mnemonic, the perf
 counter names it bumps.  This module lowers each decoded
 :class:`~repro.isa.instructions.Instr` *once* into a bound handler
@@ -25,9 +26,9 @@ shared across FP subsystems (the SPMD program is shared), so they take
 the subsystem as an argument and use its pre-resolved slot attributes.
 
 Behaviour contract: a micro-op performs *exactly* the state transitions
-and counter bumps of the seed interpreter for the same machine state --
-the differential test suite steps both engines in lockstep to enforce
-this.
+and counter bumps of the seed interpreter in ``tests/oracle/`` for the
+same machine state -- the differential test suite steps both in lockstep
+to enforce this.
 """
 
 from __future__ import annotations
@@ -285,7 +286,7 @@ def _lower_jump(core, instr: Instr):
 
 
 def _lower_slow(core, instr: Instr):
-    """CSR / Xdma / SYS: rare enough to reuse the seed executors."""
+    """CSR / Xdma / SYS: rare enough to reuse the generic executors."""
     iclass = instr.iclass
     finish = _finish(core, instr, False)
 
@@ -473,8 +474,8 @@ def lower_fp(instr: Instr, cfg):
     """Lower ``instr`` into an ``issue(fp, entry, cycle)`` closure.
 
     The closure performs one issue attempt -- stall classification and
-    accounting included -- exactly as the seed
-    :meth:`FpSubsystem._issue` would.  It is shared across FP
+    accounting included -- exactly as the seed ``_issue`` in
+    ``tests/oracle/`` would.  It is shared across FP
     subsystems, so per-cluster state (perf slots, streamers, chaining)
     is reached through pre-resolved attributes on ``fp``.
     """
@@ -705,7 +706,7 @@ def _compute_source(key: tuple) -> str:
 
     The emitted issue function performs exactly the state transitions,
     stall classification and counter bumps of the seed
-    :meth:`~repro.core.fp_subsystem.FpSubsystem._issue_compute` for the
+    ``_issue_compute`` in ``tests/oracle/`` for the
     kinds in ``key``, in the same order: chain and register stalls in
     operand order, then stream-empty, then WAW, then pipe capacity.
     """

@@ -49,7 +49,7 @@ class TcdmPort:
         #: Rotation index used for round-robin tie-breaking; maintained
         #: by :meth:`Tcdm.port` (the index of the *last* streamer port
         #: registered under this port's name, mirroring the name-keyed
-        #: rotation table of the original arbitration loop).
+        #: rotation table of the seed arbiter in ``tests/oracle/``).
         self._rot_index: int | None = None
         self._pending: Request | None = None
         self._response: float | int | None = None
@@ -179,52 +179,18 @@ class Tcdm:
     def arbitrate(self) -> None:
         """Resolve this cycle's requests (call once per cycle).
 
-        This is the seed reference arbiter; :meth:`arbitrate_v2` is the
-        grant-for-grant identical fast variant used by the micro-op
-        engine.
-        """
-        pending = [p for p in self._ports if p._pending is not None]
-        if not pending:
-            return
-        # Static priority, with round-robin rotation among streamer ports.
-        # The rotation pointer advances only on contended streamer rounds,
-        # so a lone streamer keeps full bandwidth while competing ones
-        # alternate.
-        streamers = self._streamer_ports
-        rot = {}
-        if streamers:
-            n = len(streamers)
-            for i, p in enumerate(streamers):
-                rot[p.name] = (i - self._rr_offset) % n
-            contended = sum(1 for p in streamers if p._pending is not None)
-            if contended >= 2:
-                self._rr_offset = (self._rr_offset + 1) % n
-
-        def key(p: TcdmPort) -> tuple[int, int]:
-            return (p.priority, rot.get(p.name, 0))
-
-        granted_banks: set[int] = set()
-        for p in sorted(pending, key=key):
-            bank = self.bank_of(p._pending[0])
-            if bank in granted_banks:
-                p.conflicts += 1
-                self.total_conflicts += 1
-                continue
-            granted_banks.add(bank)
-            p._grant(self.mem)
-            self.total_accesses += 1
-        self.busy_bank_cycles += len(granted_banks)
-
-    def arbitrate_v2(self) -> None:
-        """Grant-for-grant identical arbitration for the micro-op engine.
+        Per bank, the request with the lowest ``(priority, rotation)``
+        key wins; streamer ports rotate round-robin among themselves,
+        and the rotation pointer advances only on contended streamer
+        rounds, so a lone streamer keeps full bandwidth while competing
+        ones alternate.
 
         Pending ports are found without building a list, the common
         one- and two-request cycles are special-cased, and priority keys
         are only built when two requests meet on one bank: priority
         picks a conflict's winner and nothing else (requests to distinct
         banks touch distinct words, so their grant order is
-        unobservable).  The name-keyed rotation table of
-        :meth:`arbitrate` is replaced by per-port rotation indices.
+        unobservable).
         """
         a = b = None
         for p in self._ports:
@@ -240,7 +206,7 @@ class Tcdm:
         if b is None:
             # A lone request always wins its bank, and the round-robin
             # pointer only advances on contended streamer rounds.
-            _grant_v2(a, self.mem)
+            _grant(a, self.mem)
             self.total_accesses += 1
             self.busy_bank_cycles += 1
             return
@@ -252,8 +218,8 @@ class Tcdm:
         nb = self.num_banks
         if (a._pending[0] // bw) % nb != (b._pending[0] // bw) % nb:
             mem = self.mem
-            _grant_v2(a, mem)
-            _grant_v2(b, mem)
+            _grant(a, mem)
+            _grant(b, mem)
             self.total_accesses += 2
             self.busy_bank_cycles += 2
             return
@@ -262,14 +228,14 @@ class Tcdm:
         if (b.priority, 0 if rb is None else (rb - off) % n) \
                 < (a.priority, 0 if ra is None else (ra - off) % n):
             a, b = b, a
-        _grant_v2(a, self.mem)
+        _grant(a, self.mem)
         b.conflicts += 1
         self.total_conflicts += 1
         self.total_accesses += 1
         self.busy_bank_cycles += 1
 
     def _arbitrate_many(self) -> None:
-        """:meth:`arbitrate_v2` with three or more pending requests."""
+        """:meth:`arbitrate` with three or more pending requests."""
         pending = [p for p in self._ports if p._pending is not None]
         off = self._rr_offset
         n = len(self._streamer_ports)
@@ -285,7 +251,7 @@ class Tcdm:
         mem = self.mem
         if len(banks) == len(pending):
             for p in pending:
-                _grant_v2(p, mem)
+                _grant(p, mem)
             self.total_accesses += len(pending)
             self.busy_bank_cycles += len(pending)
             return
@@ -302,7 +268,7 @@ class Tcdm:
                 self.total_conflicts += 1
                 continue
             granted_banks.add(bank)
-            _grant_v2(p, mem)
+            _grant(p, mem)
             self.total_accesses += 1
         self.busy_bank_cycles += len(granted_banks)
 
@@ -321,7 +287,7 @@ class Tcdm:
         return out
 
 
-def _grant_v2(port: TcdmPort, mem: Memory) -> None:
+def _grant(port: TcdmPort, mem: Memory) -> None:
     """:meth:`TcdmPort._grant` with the 8- and 4-byte reads inlined
     through precompiled unpackers; out-of-range and misaligned accesses
     still raise :class:`~repro.mem.memory.MemoryError_` from

@@ -45,9 +45,10 @@ class SsrStreamer:
         self._to_produce = 0     # writes the FPU still owes us
         self._data_requested = False
         self._pending_write_addr: int | None = None
-        #: Micro-op engine per-cycle step for the armed stream's mode
-        #: (bound by :meth:`_arm`); None while the lane is unarmed.
-        self.step_v2: Callable[[], None] | None = None
+        #: Per-cycle step for the armed stream's mode (bound by
+        #: :meth:`_arm`); None while the lane is unarmed, when a cycle
+        #: would do nothing.
+        self.step: Callable[[], None] | None = None
         # Statistics (energy model inputs).
         self.active_cycles = 0
         self.elements_moved = 0
@@ -100,13 +101,13 @@ class SsrStreamer:
         if cfg.mode == SsrMode.READ:
             self._to_consume = total * (cfg.repeat + 1)
             self._to_produce = 0
-            self.step_v2 = self._step_read_indirect_v2 if cfg.indirect \
-                else self._step_read_affine_v2
+            self.step = self._step_read_indirect if cfg.indirect \
+                else self._step_read_affine
         else:
             self._to_produce = total
             self._to_consume = 0
-            self.step_v2 = self._step_write_indirect_v2 if cfg.indirect \
-                else self._step_write_affine_v2
+            self.step = self._step_write_indirect if cfg.indirect \
+                else self._step_write_affine
 
     # -- register-port interface (used at FP instruction issue) -----------
 
@@ -151,26 +152,14 @@ class SsrStreamer:
 
     # -- per-cycle behaviour -------------------------------------------------
 
-    def step(self) -> None:
-        """Advance the data mover by one cycle."""
-        if self.cfg is None:
-            return
-        worked = False
-        if self.cfg.mode == SsrMode.READ:
-            worked = self._step_read()
-        else:
-            worked = self._step_write()
-        if worked:
-            self.active_cycles += 1
+    # Per-cycle paths: one method per (mode, addressing) pair, bound to
+    # ``step`` by :meth:`_arm` so the mode is never re-tested.  Each
+    # retires a granted response, then launches the next data and (for
+    # indirect streams) index fetch, posting requests directly instead
+    # of through the checked :meth:`~repro.mem.tcdm.TcdmPort.request`
+    # interface -- every guard that path enforces is established inline.
 
-    # Micro-op engine per-cycle paths: one method per (mode, addressing)
-    # pair, bound by :meth:`_arm` so the mode is never re-tested.  Each
-    # performs exactly the actions of :meth:`step` for its mode, posting
-    # requests directly instead of through the checked
-    # :meth:`~repro.mem.tcdm.TcdmPort.request` interface -- every guard
-    # that path enforces is established inline.
-
-    def _step_read_affine_v2(self) -> None:
+    def _step_read_affine(self) -> None:
         port = self.data_port
         worked = False
         fifo = self._fifo
@@ -192,7 +181,7 @@ class SsrStreamer:
         if worked:
             self.active_cycles += 1
 
-    def _step_read_indirect_v2(self) -> None:
+    def _step_read_indirect(self) -> None:
         port = self.data_port
         iport = self.idx_port
         idx_fifo = self._idx_fifo
@@ -233,7 +222,7 @@ class SsrStreamer:
         if worked:
             self.active_cycles += 1
 
-    def _step_write_affine_v2(self) -> None:
+    def _step_write_affine(self) -> None:
         port = self.data_port
         worked = False
         fifo = self._fifo
@@ -256,7 +245,7 @@ class SsrStreamer:
         if worked:
             self.active_cycles += 1
 
-    def _step_write_indirect_v2(self) -> None:
+    def _step_write_indirect(self) -> None:
         port = self.data_port
         iport = self.idx_port
         idx_fifo = self._idx_fifo
@@ -296,72 +285,3 @@ class SsrStreamer:
         if worked:
             self.active_cycles += 1
 
-    def _step_read(self) -> bool:
-        worked = False
-        # Retire a granted data fetch.
-        if self.data_port.response_ready():
-            self._fifo.append(float(self.data_port.take_response()))
-            self._data_requested = False
-            self.elements_moved += 1
-            worked = True
-        # Retire a granted index fetch.
-        if self.idx_port.response_ready():
-            self._idx_fifo.append(int(self.idx_port.take_response()))
-            worked = True
-        # Launch the next data fetch if there is FIFO headroom.
-        headroom = self.fifo_depth - len(self._fifo) \
-            - (1 if self._data_requested else 0)
-        if headroom > 0 and not self.data_port.busy:
-            addr = self._next_data_addr()
-            if addr is not None:
-                self.data_port.request(addr)
-                self._data_requested = True
-                worked = True
-        # Launch the next index fetch (indirect mode only).
-        if (self._igen is not None and not self._igen.exhausted
-                and not self.idx_port.busy
-                and len(self._idx_fifo) < self.fifo_depth):
-            self.idx_port.request(self._igen.next_index_addr(),
-                                  width=self.cfg.idx_size)
-            worked = True
-        return worked
-
-    def _next_data_addr(self) -> int | None:
-        if self._igen is not None:
-            if not self._idx_fifo:
-                return None
-            return self._igen.data_addr(self._idx_fifo.popleft())
-        if self._gen.exhausted:
-            return None
-        return self._gen.next()
-
-    def _step_write(self) -> bool:
-        worked = False
-        # Retire a granted write.
-        if self.data_port.response_ready():
-            self.data_port.take_response()
-            self._fifo.popleft()
-            self._pending_write_addr = None
-            self.elements_moved += 1
-            worked = True
-        # Retire a granted index fetch (indirect scatter).
-        if self.idx_port.response_ready():
-            self._idx_fifo.append(int(self.idx_port.take_response()))
-            worked = True
-        # Launch the next write once its address is known; an indirect
-        # stream waiting on its index still prefetches below.
-        if self._fifo and not self.data_port.busy:
-            if self._pending_write_addr is None:
-                self._pending_write_addr = self._next_data_addr()
-            if self._pending_write_addr is not None:
-                self.data_port.request(self._pending_write_addr,
-                                       is_write=True, data=self._fifo[0])
-                worked = True
-        # Indirect scatter: keep the index FIFO fed.
-        if (self._igen is not None and not self._igen.exhausted
-                and not self.idx_port.busy
-                and len(self._idx_fifo) < self.fifo_depth):
-            self.idx_port.request(self._igen.next_index_addr(),
-                                  width=self.cfg.idx_size)
-            worked = True
-        return worked

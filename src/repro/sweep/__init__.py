@@ -15,9 +15,7 @@ Quick start::
 
 (The lower-level :class:`SweepRunner` remains the engine underneath
 ``Session.map``.)  See ``docs/sweeps.md`` for the spec format and cache
-layout.  The expansion unit ``Point`` is deprecated: it is the same
-class as :class:`repro.api.Workload` (identical fields, canonical form
-and cache keys).
+layout.  Specs expand into :class:`repro.api.Workload` points.
 """
 
 from repro._lazy import attach
@@ -55,7 +53,7 @@ __all__ = [
     "summary_rows",
 ]
 
-_export, __dir__ = attach(__name__, {
+__getattr__, __dir__ = attach(__name__, {
     "repro.api.workloads": ("Workload", "make_workload"),
     "repro.sweep.aggregate": ("RESULT_METRICS", "best_points",
                               "by_kernel_variant", "group_by",
@@ -72,11 +70,3 @@ _export, __dir__ = attach(__name__, {
                          "normalize_variant"),
 })
 
-
-def __getattr__(name: str):
-    # Not in __all__ on purpose: star imports stay warning-free.
-    if name == "Point":
-        from repro.api.workloads import deprecated_point_alias
-
-        return deprecated_point_alias(f"{__name__}.Point")
-    return _export(name)

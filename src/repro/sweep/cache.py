@@ -93,8 +93,8 @@ def point_key(point: Workload, version: str,
     """SHA-256 content address of one (point, version, base config,
     execution engine).
 
-    The engine never changes the simulated numbers (fast and scalar are
-    bit-identical by contract), but it *is* part of the key: a cache
+    The engine never changes the simulated numbers (the cycle engines
+    are bit-identical by contract), but it *is* part of the key: a cache
     entry must always say which engine produced it, so an engine-choice
     bug can be bisected from cached campaigns alone.
     """

@@ -129,10 +129,6 @@ def point_worker(point: Workload, base_cfg: CoreConfig | None,
             signal.signal(signal.SIGALRM, old_handler)
 
 
-#: Pre-1.9 private name of :func:`point_worker` (same function; it went
-#: public as the serve layer's executor-bridge entry point).
-_worker = point_worker
-
 
 @dataclass
 class Outcome:

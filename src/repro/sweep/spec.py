@@ -42,7 +42,6 @@ from repro.api.workloads import (
     OVERRIDABLE_FIELDS,
     SYSTEM_FIELDS,
     Workload,
-    deprecated_point_alias,
     make_workload,
 )
 from repro.kernels.registry import PAPER_KERNELS
@@ -63,15 +62,8 @@ __all__ = [
 
 #: Deprecated alias of :func:`repro.api.workloads.make_workload`, kept
 #: callable without a warning because the sweep spec format is
-#: unchanged; ``Point`` (the class) warns via module ``__getattr__``.
+#: unchanged.
 make_point = make_workload
-
-
-def __getattr__(name: str):
-    if name == "Point":
-        return deprecated_point_alias(f"{__name__}.Point")
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

@@ -39,7 +39,7 @@ equals the global minimum.  Clusters can run *ahead* of that minimum
 in one step); they simply wait until the others catch up, which is
 exactly event-order-correct because the only inter-cluster couplings --
 global-memory DMA bandwidth and the system barrier -- are arbitrated at
-the minimum clock.  The scalar-v2 idle-cycle fast-forward is preserved
+the minimum clock.  The idle-cycle fast-forward is preserved
 at system level: when every minimum-clock cluster is provably dead (and
 no DMA contention is possible), all of them jump over the common dead
 span in O(1).
@@ -325,15 +325,9 @@ class System:
 
     # -- aggregate metrics ---------------------------------------------------
 
-    def _cluster_done(self, cluster: Cluster) -> bool:
-        for core in cluster.cores:
-            if not core.halted:
-                return False
-        return cluster._done_v2() if cluster._v2 else cluster.done
-
     @property
     def done(self) -> bool:
-        return all(self._cluster_done(cl) for cl in self.clusters)
+        return all(cl.done for cl in self.clusters)
 
     def total(self, counter: str) -> int:
         """Sum of one perf counter over every cluster."""
@@ -413,8 +407,7 @@ class System:
         quiet = 0
         last_token = None
         while True:
-            active = [cl for cl in clusters
-                      if not self._cluster_done(cl)]
+            active = [cl for cl in clusters if not cl.done]
             if not active:
                 break
             self._release_sys_barrier()
@@ -454,8 +447,8 @@ class System:
         Halted cores count as arrived (matching the cluster barrier).
         Release aligns every waiting cluster's clock to the latest
         arrival -- the cycle at which the barrier actually opens -- by
-        fast-forwarding (or, for non-micro-op engines, stepping) the
-        parked clusters, so barrier wait time is fully accounted.
+        fast-forwarding (or stepping) the parked clusters, so barrier
+        wait time is fully accounted.
         """
         waiting = [core for cl in self.clusters for core in cl.cores
                    if core.sys_barrier_wait]
@@ -491,9 +484,7 @@ class System:
     def _advance_parked(self, cluster: Cluster, target: int) -> None:
         """Burn a parked cluster's clock up to ``target`` cycles."""
         while cluster.cycle < target:
-            if not (cluster._v2
-                    and cluster._try_fast_forward(target,
-                                                  external=target)):
+            if not cluster._try_fast_forward(target, external=target):
                 cluster.step()
 
     def _try_system_ff(self, active, batch, now, max_cycles,
@@ -510,7 +501,7 @@ class System:
         target = min(min(caps) if caps else _INF - 1, max_cycles)
         horizons = []
         for cluster in batch:
-            if not cluster._v2 or not cluster._ff_candidate():
+            if not cluster._ff_candidate():
                 return False
             horizon = cluster._dead_horizon(external=target)
             if horizon is None:

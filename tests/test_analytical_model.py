@@ -38,13 +38,15 @@ from repro.analytical import (
 from repro.api import Session, make_workload
 from repro.api.execute import execute_workload
 from repro.core.config import ENGINES
-from repro.eval.runner import execute_build, run_build
+from repro.eval.runner import execute_build
 from repro.kernels.layout import Grid3d
 from repro.kernels.stencil import box3d1r
 from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import Variant
 from repro.kernels.vecop import VecopVariant, build_vecop
 from repro.sweep.cache import ResultCache, point_key
+
+from oracle import ORACLE, ORACLE_FAST, backends
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,14 +58,14 @@ def test_vecop_baseline_period_is_2_plus_latency():
     # Steady state of Fig. 1a: fadd, 3 RAW stalls, fmul -> 5 cycles per
     # element (with frep, the integer core adds nothing).
     n = 256
-    result = run_build(build_vecop(n=n, variant=VecopVariant.BASELINE))
+    result = execute_build(build_vecop(n=n, variant=VecopVariant.BASELINE))
     period = result.region_cycles / n
     assert period == pytest.approx(5.0, abs=0.2)
 
 
 def test_vecop_chaining_period_is_2():
     n = 256
-    result = run_build(build_vecop(n=n, variant=VecopVariant.CHAINING))
+    result = execute_build(build_vecop(n=n, variant=VecopVariant.CHAINING))
     period = result.region_cycles / n
     assert period == pytest.approx(2.0, abs=0.1)
 
@@ -73,9 +75,9 @@ def test_vecop_bne_loop_adds_int_overhead():
     # taken-branch penalty) per iteration; the FP queue drains meanwhile,
     # so every iteration costs ~4 extra queue-empty cycles over frep.
     n = 128
-    frep = run_build(build_vecop(n=n, variant=VecopVariant.CHAINING,
+    frep = execute_build(build_vecop(n=n, variant=VecopVariant.CHAINING,
                                  loop_mode="frep"))
-    bne = run_build(build_vecop(n=n, variant=VecopVariant.CHAINING,
+    bne = execute_build(build_vecop(n=n, variant=VecopVariant.CHAINING,
                                 loop_mode="bne"))
     iters = n // 4
     extra_per_iter = (bne.region_cycles - frep.region_cycles) / iters
@@ -103,7 +105,7 @@ def test_stencil_block_slot_accounting(variant, spills):
     # slot count must explain the measurement to within ~10%.
     grid = Grid3d(nz=2, ny=4, nx=32)
     build = build_stencil(box3d1r(), grid, variant)
-    result = run_build(build)
+    result = execute_build(build)
     blocks = build.meta["blocks"]
     slots = _issue_slots_per_block(variant, 27, 4, spills)
     int_overhead = 4 if variant.writeback_via_ssr else 5
@@ -119,7 +121,7 @@ def test_stencil_compute_op_count_is_exact():
     grid = Grid3d(nz=2, ny=3, nx=16)
     for variant in (Variant.BASE, Variant.CHAINING):
         build = build_stencil(box3d1r(), grid, variant)
-        result = run_build(build)
+        result = execute_build(build)
         # taps * points, exactly -- no op is ever lost or duplicated.
         assert result.meta["expected_compute_ops"] == 27 * grid.points
 
@@ -128,8 +130,8 @@ def test_speedup_follows_slot_ratio():
     # The Chaining+ vs Base speedup must track the issue-slot ratio
     # (112+int)/(108+int) within a couple of points.
     grid = Grid3d(nz=2, ny=4, nx=32)
-    base = run_build(build_stencil(box3d1r(), grid, Variant.BASE))
-    plus = run_build(build_stencil(box3d1r(), grid,
+    base = execute_build(build_stencil(box3d1r(), grid, Variant.BASE))
+    plus = execute_build(build_stencil(box3d1r(), grid,
                                    Variant.CHAINING_PLUS))
     measured = base.region_cycles / plus.region_cycles
     analytical = (112 + 5) / (108 + 4)
@@ -198,7 +200,7 @@ def test_differential_linalg_builds_within_bound(cal_ctx):
         _assert_within_bound(report, "linalg", est, actual, build.name)
 
 
-@pytest.mark.parametrize("engine", CYCLE_ENGINES)
+@pytest.mark.parametrize("engine", CYCLE_ENGINES + (ORACLE, ORACLE_FAST))
 @pytest.mark.parametrize("point", [
     make_workload("vecop", "chaining", n=64, loop_mode="frep"),
     make_workload("vecop", "baseline", n=64, loop_mode="bne"),
@@ -208,11 +210,13 @@ def test_differential_linalg_builds_within_bound(cal_ctx):
                   num_clusters=2, iters=2),
 ], ids=lambda p: p.label if hasattr(p, "label") else p)
 def test_differential_per_engine(cal_ctx, point, engine):
-    """The bound holds against every cycle-accurate engine (they are
-    bit-identical, so one estimate must explain them all)."""
+    """The bound holds against every cycle-accurate engine and the seed
+    oracle (they are bit-identical, so one estimate must explain them
+    all)."""
     report, _ = cal_ctx
     est = estimate_workload(point)
-    actual = execute_workload(point, engine=engine)
+    with backends(engine) as cfg_engine:
+        actual = execute_workload(point, engine=cfg_engine)
     _assert_within_bound(report, kernel_family(point), est, actual,
                          f"{point.label} [{engine}]")
 

@@ -52,9 +52,6 @@ REPRO_ALL = [
     "obs",
     "render_dataflow",
     "render_issue_trace",
-    "run_build",
-    "run_stencil_variant",
-    "run_system_stencil",
     "star3d1r",
     "workload",
 ]
@@ -100,8 +97,7 @@ def test_repro_api_all_matches_snapshot():
 
 def test_every_exported_name_resolves():
     with warnings.catch_warnings():
-        # Point is a deprecated alias; resolving it is still required.
-        warnings.simplefilter("ignore", DeprecationWarning)
+        warnings.simplefilter("error", DeprecationWarning)
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
         for name in repro.api.__all__:
@@ -109,18 +105,9 @@ def test_every_exported_name_resolves():
 
 
 def test_star_import_is_warning_free():
-    """Point is shimmed via __getattr__ but kept OUT of __all__: users
-    who never touch it must not see deprecation noise on `import *`."""
+    """`import *` must never surface deprecation noise."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         exec("from repro import *", {})
         exec("from repro.sweep import *", {})
 
-
-def test_deprecated_names_warn_with_pointers():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        getattr(repro, "Point")
-    assert len(caught) == 1
-    assert issubclass(caught[0].category, DeprecationWarning)
-    assert "Workload" in str(caught[0].message)

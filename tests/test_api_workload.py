@@ -75,8 +75,8 @@ def test_engine_keyword_folds_into_overrides():
                     overrides={"engine": "scalar-v2"})
     assert w == same and w.canonical() == same.canonical()
     with pytest.raises(ValueError, match="conflicting engines"):
-        workload("box3d1r", "Chaining+", engine="fast",
-                 overrides={"engine": "scalar"})
+        workload("box3d1r", "Chaining+", engine="auto",
+                 overrides={"engine": "scalar-v2"})
     with pytest.raises(ValueError, match="engine must be"):
         workload("box3d1r", "Chaining+", engine="warp")
 
@@ -114,14 +114,3 @@ def test_grid3d_and_label_survive_the_move():
     assert w.grid3d() == Grid3d(2, 3, 8)
     assert w.label.startswith("box3d1r/Chaining+ 2x3x8")
 
-
-def test_point_alias_is_deprecated_but_identical():
-    with pytest.deprecated_call():
-        from repro.sweep.spec import Point
-    assert Point is Workload
-    with pytest.deprecated_call():
-        from repro.sweep import Point as SweepPoint
-    assert SweepPoint is Workload
-    import repro
-    with pytest.deprecated_call():
-        assert repro.Point is Workload

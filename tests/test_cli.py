@@ -47,6 +47,16 @@ def test_run_partial_grid_exits():
         main(["run", "--nz", "2"])
 
 
+@pytest.mark.parametrize("engine", ["scalar", "fast"])
+@pytest.mark.parametrize("command",
+                         ["sweep", "serve", "audit", "profile", "calibrate"])
+def test_retired_engines_exit_2(command, engine, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--engine", engine])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_profile_prints_hotspot_tables(capsys):
     rc = main(["profile", "--kernel", "box3d1r", "--variant", "Chaining+",
                "--nz", "2", "--ny", "3", "--nx", "8", "--top", "5",

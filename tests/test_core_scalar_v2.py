@@ -1,8 +1,9 @@
-"""Differential tests: the scalar-v2 micro-op engine vs the seed scalar.
+"""Differential tests: the scalar-v2 micro-op engine vs the seed oracle.
 
 The micro-op engine (pre-decoded dispatch + idle-cycle fast-forwarding,
 ``CoreConfig.engine = "scalar-v2"``) must be indistinguishable from the
-seed interpreter in every architecturally visible quantity.  Two layers
+seed interpreter (``tests/oracle/``) in every architecturally visible
+quantity.  Two layers
 of evidence:
 
 * **digest tests** run the workloads the vectorized FREP fast path
@@ -29,6 +30,8 @@ from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import VARIANT_ORDER, Variant
 from repro.kernels.vecop import VecopVariant, build_vecop
 from repro.trace import TraceRecorder
+
+from oracle import ORACLE, engine_cluster
 
 DATA = 0x2000
 OUT = 0x6000
@@ -61,16 +64,17 @@ def machine_digest(cluster: Cluster) -> dict:
 def run_engine(source, engine: str, *, num_cores: int = 1,
                loader=None, trace: bool = False,
                fetch_from_memory: bool = False, **cfg_overrides):
+    make, engine = engine_cluster(engine)
     cfg = CoreConfig(engine=engine, fetch_from_memory=fetch_from_memory,
                      **cfg_overrides)
     recorder = TraceRecorder() if trace else None
     if hasattr(source, "asm"):
-        cluster = Cluster(source.asm, cfg=cfg, symbols=source.symbols,
+        cluster = make(source.asm, cfg=cfg, symbols=source.symbols,
                           trace=recorder, num_cores=num_cores)
         source.load_into(cluster)
     else:
-        cluster = Cluster(source, cfg=cfg, trace=recorder,
-                          num_cores=num_cores)
+        cluster = make(source, cfg=cfg, trace=recorder,
+                       num_cores=num_cores)
         if loader is not None:
             loader(cluster)
     cluster.run()
@@ -80,7 +84,7 @@ def run_engine(source, engine: str, *, num_cores: int = 1,
 def assert_equivalent(source, *, num_cores: int = 1, loader=None,
                       trace: bool = False, fetch_from_memory: bool = False,
                       engines=("scalar-v2", "auto"), **cfg_overrides):
-    ref, ref_tr = run_engine(source, "scalar", num_cores=num_cores,
+    ref, ref_tr = run_engine(source, ORACLE, num_cores=num_cores,
                              loader=loader, trace=trace,
                              fetch_from_memory=fetch_from_memory,
                              **cfg_overrides)
@@ -253,13 +257,14 @@ def test_binary_fetch_equivalent():
 def test_engine_composition_and_validation():
     cfg = CoreConfig(engine="scalar-v2")
     cfg.validate()
-    assert cfg.uses_uops
     cluster = Cluster("ebreak", cfg=cfg)
     assert cluster.fastpath is None           # never the vectorized path
     auto = Cluster("ebreak", cfg=CoreConfig(engine="auto"))
     assert auto.fastpath is not None          # composed with it
-    with pytest.raises(ValueError):
-        CoreConfig(engine="scalar-v3").validate()
+    for retired in ("scalar-v3", "scalar", "fast"):
+        with pytest.raises(ValueError,
+                           match="'auto', 'scalar-v2' or 'analytical'"):
+            CoreConfig(engine=retired).validate()
 
 
 # -- FP compute issue: every operand kind ------------------------------------
@@ -653,8 +658,9 @@ def test_fuzz_lockstep_per_cycle(seed):
     data = np.array([rng.uniform(-4, 4) for _ in range(128)])
 
     clusters = []
-    for engine in ("scalar", "scalar-v2"):
-        cluster = Cluster(source, cfg=CoreConfig(engine=engine))
+    for engine in (ORACLE, "scalar-v2"):
+        make, engine = engine_cluster(engine)
+        cluster = make(source, cfg=CoreConfig(engine=engine))
         cluster.load_f64(DATA, data)
         clusters.append(cluster)
     ref, v2 = clusters
@@ -673,8 +679,9 @@ def test_fuzz_run_to_completion_with_fast_forward(seed):
     data = np.array([rng.uniform(-4, 4) for _ in range(128)])
 
     digests = []
-    for engine in ("scalar", "scalar-v2"):
-        cluster = Cluster(source, cfg=CoreConfig(engine=engine))
+    for engine in (ORACLE, "scalar-v2"):
+        make, engine = engine_cluster(engine)
+        cluster = make(source, cfg=CoreConfig(engine=engine))
         cluster.load_f64(DATA, data)
         try:
             cluster.run(max_cycles=5_000)

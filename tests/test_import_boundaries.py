@@ -9,9 +9,11 @@ because this test process has long since imported everything.
 
 The second half pins what laziness must not change: every exported
 name is the very object its defining module holds, star imports work,
-and the deprecated ``Point`` aliases still warn at the caller.
+and the retired pre-1.5 shims stay gone.  Finally, no ``repro`` module
+imports the test oracle (``tests/oracle/``).
 """
 
+import ast
 import importlib
 import json
 import os
@@ -146,14 +148,29 @@ def test_submodules_resolve_as_package_attributes():
         repro.api._private_name  # noqa: B018
 
 
-@pytest.mark.parametrize("path", ["repro", "repro.sweep",
-                                  "repro.sweep.spec"])
-def test_point_aliases_still_warn_at_the_caller(path):
-    module = importlib.import_module(path)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        alias = module.Point
-    assert alias is repro.api.Workload
-    assert len(caught) == 1
-    assert issubclass(caught[0].category, DeprecationWarning)
-    assert caught[0].filename == __file__
+@pytest.mark.parametrize("path, name", [
+    ("repro", "Point"), ("repro.sweep", "Point"),
+    ("repro.sweep.spec", "Point"), ("repro", "run_build"),
+    ("repro", "run_stencil_variant"), ("repro", "run_system_stencil"),
+    ("repro.eval.runner", "run_build"),
+    ("repro.eval.system_runner", "run_system_stencil"),
+    ("repro.sweep.runner", "_worker"),
+])
+def test_retired_shims_are_gone(path, name):
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(path), name)
+
+
+def test_no_repro_module_imports_the_oracle():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] in ("oracle", "tests") for n in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []

@@ -5,6 +5,11 @@ import pytest
 from repro.mem.memory import Memory
 from repro.mem.tcdm import Tcdm
 
+from oracle import arbitrate as oracle_arbitrate
+
+#: Every arbitration test runs on the oracle and on the shipped arbiter.
+ARBITERS = (oracle_arbitrate, Tcdm.arbitrate)
+
 
 def make_tcdm(banks=4):
     return Tcdm(Memory(1 << 16), num_banks=banks, bank_width=8)
@@ -25,105 +30,112 @@ def test_power_of_two_banks_required():
 
 
 def test_read_after_write_through_ports():
-    tcdm = make_tcdm()
-    w = tcdm.port("w", priority=0)
-    r = tcdm.port("r", priority=1)
-    w.request(16, is_write=True, data=2.5)
-    tcdm.arbitrate()
-    assert w.response_ready()
-    w.take_response()
-    r.request(16)
-    tcdm.arbitrate()
-    assert r.take_response() == 2.5
+    for arbitrate in ARBITERS:
+        tcdm = make_tcdm()
+        w = tcdm.port("w", priority=0)
+        r = tcdm.port("r", priority=1)
+        w.request(16, is_write=True, data=2.5)
+        arbitrate(tcdm)
+        assert w.response_ready()
+        w.take_response()
+        r.request(16)
+        arbitrate(tcdm)
+        assert r.take_response() == 2.5
 
 
 def test_conflict_same_bank_loses_lower_priority():
-    tcdm = make_tcdm(banks=4)
-    hi = tcdm.port("hi", priority=0)
-    lo = tcdm.port("lo", priority=5)
-    tcdm.mem.write_f64(8, 1.0)
-    tcdm.mem.write_f64(8 + 32, 2.0)   # same bank (4 banks * 8B = 32)
-    hi.request(8)
-    lo.request(40)
-    tcdm.arbitrate()
-    assert hi.response_ready() and not lo.response_ready()
-    assert lo.conflicts == 1
-    assert tcdm.total_conflicts == 1
-    # The loser retries automatically next cycle.
-    tcdm.arbitrate()
-    assert lo.take_response() == 2.0
+    for arbitrate in ARBITERS:
+        tcdm = make_tcdm(banks=4)
+        hi = tcdm.port("hi", priority=0)
+        lo = tcdm.port("lo", priority=5)
+        tcdm.mem.write_f64(8, 1.0)
+        tcdm.mem.write_f64(8 + 32, 2.0)   # same bank (4 banks * 8B = 32)
+        hi.request(8)
+        lo.request(40)
+        arbitrate(tcdm)
+        assert hi.response_ready() and not lo.response_ready()
+        assert lo.conflicts == 1
+        assert tcdm.total_conflicts == 1
+        # The loser retries automatically next cycle.
+        arbitrate(tcdm)
+        assert lo.take_response() == 2.0
 
 
 def test_no_conflict_on_different_banks():
-    tcdm = make_tcdm(banks=4)
-    a = tcdm.port("a", priority=0)
-    b = tcdm.port("b", priority=1)
-    a.request(0)
-    b.request(8)
-    tcdm.arbitrate()
-    assert a.response_ready() and b.response_ready()
-    assert tcdm.total_conflicts == 0
+    for arbitrate in ARBITERS:
+        tcdm = make_tcdm(banks=4)
+        a = tcdm.port("a", priority=0)
+        b = tcdm.port("b", priority=1)
+        a.request(0)
+        b.request(8)
+        arbitrate(tcdm)
+        assert a.response_ready() and b.response_ready()
+        assert tcdm.total_conflicts == 0
 
 
 def test_streamer_round_robin_fairness():
-    tcdm = make_tcdm(banks=2)
-    s0 = tcdm.port("s0", priority=10, is_streamer=True)
-    s1 = tcdm.port("s1", priority=10, is_streamer=True)
-    wins = {"s0": 0, "s1": 0}
-    for _ in range(6):
-        s0.request(0)
-        s1.request(16)   # same bank as 0 with 2 banks
-        tcdm.arbitrate()
-        for port, name in ((s0, "s0"), (s1, "s1")):
-            if port.response_ready():
-                port.take_response()
-                wins[name] += 1
-        # Drain the loser so both are free next round.
-        tcdm.arbitrate()
-        for port in (s0, s1):
-            if port.response_ready():
-                port.take_response()
-    assert wins["s0"] > 0 and wins["s1"] > 0
+    for arbitrate in ARBITERS:
+        tcdm = make_tcdm(banks=2)
+        s0 = tcdm.port("s0", priority=10, is_streamer=True)
+        s1 = tcdm.port("s1", priority=10, is_streamer=True)
+        wins = {"s0": 0, "s1": 0}
+        for _ in range(6):
+            s0.request(0)
+            s1.request(16)   # same bank as 0 with 2 banks
+            arbitrate(tcdm)
+            for port, name in ((s0, "s0"), (s1, "s1")):
+                if port.response_ready():
+                    port.take_response()
+                    wins[name] += 1
+            # Drain the loser so both are free next round.
+            arbitrate(tcdm)
+            for port in (s0, s1):
+                if port.response_ready():
+                    port.take_response()
+        assert wins["s0"] > 0 and wins["s1"] > 0
 
 
 def test_port_protocol_violations():
-    tcdm = make_tcdm()
-    p = tcdm.port("p", priority=0)
-    p.request(0)
-    with pytest.raises(RuntimeError, match="pending"):
-        p.request(8)
-    tcdm.arbitrate()
-    with pytest.raises(RuntimeError, match="unconsumed"):
-        p.request(8)
-    p.take_response()
-    with pytest.raises(RuntimeError, match="no response"):
+    for arbitrate in ARBITERS:
+        tcdm = make_tcdm()
+        p = tcdm.port("p", priority=0)
+        p.request(0)
+        with pytest.raises(RuntimeError, match="pending"):
+            p.request(8)
+        arbitrate(tcdm)
+        with pytest.raises(RuntimeError, match="unconsumed"):
+            p.request(8)
         p.take_response()
+        with pytest.raises(RuntimeError, match="no response"):
+            p.take_response()
 
 
 def test_width_4_and_2_accesses():
-    tcdm = make_tcdm()
-    p = tcdm.port("p", priority=0)
-    p.request(4, is_write=True, data=0xABCD, width=4)
-    tcdm.arbitrate()
-    p.take_response()
-    p.request(4, width=4)
-    tcdm.arbitrate()
-    assert p.take_response() == 0xABCD
-    p.request(2, is_write=True, data=0x1234, width=2)
-    tcdm.arbitrate()
-    p.take_response()
-    p.request(2, width=2)
-    tcdm.arbitrate()
-    assert p.take_response() == 0x1234
+    for arbitrate in ARBITERS:
+        tcdm = make_tcdm()
+        p = tcdm.port("p", priority=0)
+        p.request(4, is_write=True, data=0xABCD, width=4)
+        arbitrate(tcdm)
+        p.take_response()
+        p.request(4, width=4)
+        arbitrate(tcdm)
+        assert p.take_response() == 0xABCD
+        p.request(2, is_write=True, data=0x1234, width=2)
+        arbitrate(tcdm)
+        p.take_response()
+        p.request(2, width=2)
+        arbitrate(tcdm)
+        assert p.take_response() == 0x1234
 
 
 def test_stats_accumulate():
-    tcdm = make_tcdm()
-    p = tcdm.port("p", priority=0)
-    for i in range(3):
-        p.request(i * 8, is_write=True, data=float(i))
-        tcdm.arbitrate()
-        p.take_response()
-    stats = tcdm.stats()
-    assert stats["p_writes"] == 3
-    assert stats["total_accesses"] == 3
+    for arbitrate in ARBITERS:
+        tcdm = make_tcdm()
+        p = tcdm.port("p", priority=0)
+        for i in range(3):
+            p.request(i * 8, is_write=True, data=float(i))
+            arbitrate(tcdm)
+            p.take_response()
+        stats = tcdm.stats()
+        assert stats["p_writes"] == 3
+        assert stats["total_accesses"] == 3

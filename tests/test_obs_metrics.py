@@ -65,11 +65,11 @@ def test_cluster_run_obs_from_real_run():
 
 def test_cluster_run_obs_without_fastpath():
     cluster = SimpleNamespace(
-        cfg=SimpleNamespace(engine="scalar"),
+        cfg=SimpleNamespace(engine="scalar-v2"),
         ff_stats={"spans": 2, "cycles": 100},
         fastpath=None)
     assert cluster_run_obs(cluster) == {
-        "engine": "scalar", "ff_spans": 2, "ff_cycles_skipped": 100}
+        "engine": "scalar-v2", "ff_spans": 2, "ff_cycles_skipped": 100}
 
 
 # -- campaign aggregation -------------------------------------------------

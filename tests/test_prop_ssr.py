@@ -10,6 +10,25 @@ from repro.ssr.address_gen import AffineGenerator
 from repro.ssr.config import CfgField, SsrConfig
 from repro.ssr.streamer import SsrStreamer
 
+from oracle import arbitrate, streamer_step
+
+
+def tick_oracle(streamer, tcdm):
+    """One cycle of the seed interpreter's streamer and arbiter."""
+    streamer_step(streamer)
+    arbitrate(tcdm)
+
+
+def tick(streamer, tcdm):
+    """One cycle of the shipped streamer and arbiter."""
+    if streamer.step is not None:
+        streamer.step()
+    tcdm.arbitrate()
+
+
+#: Every streamer property holds on the oracle and the shipped code.
+TICKS = (tick_oracle, tick)
+
 
 @st.composite
 def affine_configs(draw):
@@ -66,54 +85,54 @@ def stream_cases(draw):
 @given(stream_cases())
 @settings(max_examples=60, deadline=None)
 def test_read_streamer_delivers_gather(case):
-    n, stride_elems, repeat, fifo_depth = case
-    mem = Memory(1 << 16)
-    tcdm = Tcdm(mem, num_banks=8)
-    streamer = SsrStreamer(0, tcdm, fifo_depth=fifo_depth)
-    data = np.arange(n * stride_elems, dtype=np.float64) + 1.0
-    mem.write_array(0x400, data)
+    for tick in TICKS:
+        n, stride_elems, repeat, fifo_depth = case
+        mem = Memory(1 << 16)
+        tcdm = Tcdm(mem, num_banks=8)
+        streamer = SsrStreamer(0, tcdm, fifo_depth=fifo_depth)
+        data = np.arange(n * stride_elems, dtype=np.float64) + 1.0
+        mem.write_array(0x400, data)
 
-    streamer.write_cfg(CfgField.BASE, 0x400)
-    streamer.write_cfg(CfgField.BOUND0, n)
-    streamer.write_cfg(CfgField.STRIDE0, stride_elems * 8)
-    streamer.write_cfg(CfgField.REPEAT, repeat)
-    streamer.write_cfg(CfgField.CTRL, 0)
+        streamer.write_cfg(CfgField.BASE, 0x400)
+        streamer.write_cfg(CfgField.BOUND0, n)
+        streamer.write_cfg(CfgField.STRIDE0, stride_elems * 8)
+        streamer.write_cfg(CfgField.REPEAT, repeat)
+        streamer.write_cfg(CfgField.CTRL, 0)
 
-    out = []
-    for _ in range(20 * n + 40):
-        streamer.step()
-        tcdm.arbitrate()
-        while streamer.can_pop():
-            out.append(streamer.pop())
-    expected = list(np.repeat(data[::stride_elems], repeat + 1))
-    assert out == expected
-    assert streamer.done
-    # Memory traffic is independent of the repeat factor.
-    assert streamer.data_port.reads == n
+        out = []
+        for _ in range(20 * n + 40):
+            tick(streamer, tcdm)
+            while streamer.can_pop():
+                out.append(streamer.pop())
+        expected = list(np.repeat(data[::stride_elems], repeat + 1))
+        assert out == expected
+        assert streamer.done
+        # Memory traffic is independent of the repeat factor.
+        assert streamer.data_port.reads == n
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                           width=64), min_size=1, max_size=16))
 @settings(max_examples=60, deadline=None)
 def test_write_streamer_roundtrip(values):
-    mem = Memory(1 << 16)
-    tcdm = Tcdm(mem, num_banks=8)
-    streamer = SsrStreamer(1, tcdm, fifo_depth=4)
-    streamer.write_cfg(CfgField.BASE, 0x800)
-    streamer.write_cfg(CfgField.BOUND0, len(values))
-    streamer.write_cfg(CfgField.STRIDE0, 8)
-    streamer.write_cfg(CfgField.REPEAT, 0)
-    streamer.write_cfg(CfgField.CTRL, 1)
+    for tick in TICKS:
+        mem = Memory(1 << 16)
+        tcdm = Tcdm(mem, num_banks=8)
+        streamer = SsrStreamer(1, tcdm, fifo_depth=4)
+        streamer.write_cfg(CfgField.BASE, 0x800)
+        streamer.write_cfg(CfgField.BOUND0, len(values))
+        streamer.write_cfg(CfgField.STRIDE0, 8)
+        streamer.write_cfg(CfgField.REPEAT, 0)
+        streamer.write_cfg(CfgField.CTRL, 1)
 
-    pushed = 0
-    for _ in range(20 * len(values) + 40):
-        if pushed < len(values) and streamer.can_push():
-            streamer.push(values[pushed])
-            pushed += 1
-        streamer.step()
-        tcdm.arbitrate()
-        if streamer.done:
-            break
-    assert streamer.done
-    out = list(mem.read_array(0x800, (len(values),)))
-    assert out == values
+        pushed = 0
+        for _ in range(20 * len(values) + 40):
+            if pushed < len(values) and streamer.can_push():
+                streamer.push(values[pushed])
+                pushed += 1
+            tick(streamer, tcdm)
+            if streamer.done:
+                break
+        assert streamer.done
+        out = list(mem.read_array(0x800, (len(values),)))
+        assert out == values

@@ -276,6 +276,9 @@ def test_http_read_deadline_answers_408(tmp_path, monkeypatch):
       "overrides": [["engine", "warp"]]}, "engine must be"),
     ({"kernel": "vecop", "variant": "Baseline", "n": 16},
      "not in canonical form"),
+    ({"kernel": "box3d1r", "variant": "Base", "grid": [2, 3, 8],
+      "overrides": [["engine", "scalar"]]},
+     "'auto', 'scalar-v2' or 'analytical'"),
 ])
 def test_http_submit_rejects_invalid_workloads(tmp_path, bad, message):
     with ServerThread(tmp_path / "store", workers=1) as server:

@@ -140,7 +140,7 @@ def test_same_version_other_context_is_missing_not_stale(tmp_path):
     run, so it is missing, not stale."""
     cache = ResultCache(tmp_path / "c")
     point = make_point("vecop", "chaining", n=16)
-    key_scalar = point_key(point, __version__, engine="scalar")
+    key_scalar = point_key(point, __version__, engine="scalar-v2")
     cache.put(key_scalar, point, execute_point(point), 0.0, __version__)
     audit = audit_campaign([point], cache)   # engine context: auto
     assert audit.points[0].status == "missing"

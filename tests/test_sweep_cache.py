@@ -152,12 +152,12 @@ def test_point_key_includes_system_axes():
 def test_system_axes_round_trip_and_cache_partition(tmp_path):
     """End to end: a multi-cluster point simulates, caches under its own
     key, replays from cache, and never hits the single-cluster entry."""
-    from repro.sweep.spec import Point
+    from repro.sweep.spec import Workload
 
     single = make_point("box3d1r", "Chaining+", grid=(2, 4, 8))
     multi = make_point("box3d1r", "Chaining+", grid=(2, 4, 8),
                        system={"num_clusters": 2})
-    assert Point.from_canonical(multi.canonical()) == multi
+    assert Workload.from_canonical(multi.canonical()) == multi
     assert "num_clusters=2" in multi.label
 
     runner = SweepRunner(cache=tmp_path / "c", workers=0)
@@ -181,11 +181,10 @@ def test_point_key_engine_sensitivity():
     base config's own engine selection)."""
     key_auto = point_key(POINT, __version__)
     assert key_auto == point_key(POINT, __version__, engine="auto")
-    assert key_auto != point_key(POINT, __version__, engine="fast")
-    assert key_auto != point_key(POINT, __version__, engine="scalar")
-    cfg = CoreConfig(engine="scalar")
+    assert key_auto != point_key(POINT, __version__, engine="scalar-v2")
+    cfg = CoreConfig(engine="scalar-v2")
     assert point_key(POINT, __version__, base_cfg=cfg) != \
-        point_key(POINT, __version__, base_cfg=cfg, engine="fast")
+        point_key(POINT, __version__, base_cfg=cfg, engine="auto")
 
 
 def test_analytical_keys_collide_with_no_cycle_engine():

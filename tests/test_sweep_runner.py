@@ -4,7 +4,7 @@ and the aggregation helpers over campaign outcomes."""
 import pytest
 
 from repro.core.config import CoreConfig
-from repro.eval.runner import run_stencil_variant
+from repro.eval.runner import execute_stencil
 from repro.isa.instructions import InstrClass
 from repro.kernels.variants import Variant
 from repro.sweep import (
@@ -36,7 +36,7 @@ def _fingerprint(campaign):
 def test_serial_matches_direct_eval_runner():
     campaign = SweepRunner(workers=0).run(
         [make_point("box3d1r", "Chaining+", grid=(2, 3, 8))])
-    direct = run_stencil_variant(
+    direct = execute_stencil(
         "box3d1r", Variant.CHAINING_PLUS,
         grid=campaign.outcomes[0].point.grid3d())
     res = campaign.outcomes[0].result
@@ -177,15 +177,15 @@ def test_aggregation_helpers():
 
 
 def test_engine_selection_is_bit_identical():
-    """`repro sweep --engine {fast,scalar}` must not change a single
+    """`repro sweep --engine {auto,scalar-v2}` must not change a single
     reported number -- only the wall clock."""
     point = make_point("vecop", "chaining", n=256, loop_mode="frep")
     results = {
         engine: SweepRunner(workers=0, engine=engine).run([point])
         .outcomes[0].result
-        for engine in ("scalar", "fast")
+        for engine in ("scalar-v2", "auto")
     }
-    a, b = results["scalar"], results["fast"]
+    a, b = results["scalar-v2"], results["auto"]
     assert a.cycles == b.cycles
     assert a.region_cycles == b.region_cycles
     assert a.fpu_utilization == b.fpu_utilization
@@ -195,7 +195,7 @@ def test_engine_selection_is_bit_identical():
 
 def test_engine_override_axis():
     point = make_point("vecop", "chaining", n=64,
-                       overrides={"engine": "scalar"})
+                       overrides={"engine": "scalar-v2"})
     campaign = SweepRunner(workers=0).run([point])
     campaign.raise_on_failure()
     assert campaign.outcomes[0].result.correct

@@ -7,7 +7,7 @@ import pytest
 from repro.kernels.layout import Grid3d
 from repro.kernels.variants import Variant
 from repro.kernels.vecop import VecopVariant
-from repro.sweep.spec import Point, SweepSpec, make_point
+from repro.sweep.spec import SweepSpec, Workload, make_point
 
 
 def test_default_spec_is_fig3():
@@ -50,6 +50,10 @@ def test_unknown_names_rejected():
         make_point("box3d1r", "Base", overrides={"warp_drive": 9})
     with pytest.raises(ValueError, match="unknown spec keys"):
         SweepSpec.from_dict({"kernles": ["box3d1r"]})
+    with pytest.raises(ValueError,
+                       match="'auto', 'scalar-v2' or 'analytical'"):
+        SweepSpec.from_dict({"kernels": ["box3d1r"],
+                             "overrides": [{"engine": "scalar"}]}).points()
 
 
 def test_inapplicable_axes_rejected():
@@ -90,7 +94,7 @@ def test_canonical_roundtrip_and_override_order():
     b = make_point("box3d1r", "Base", grid=(2, 3, 8),
                    overrides={"ssr_fifo_depth": 8, "tcdm_banks": 16})
     assert a == b  # overrides sorted, grids normalized
-    assert Point.from_canonical(a.canonical()) == a
+    assert Workload.from_canonical(a.canonical()) == a
     assert json.dumps(a.canonical(), sort_keys=True) == \
         json.dumps(b.canonical(), sort_keys=True)
 

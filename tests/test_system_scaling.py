@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import CoreConfig, SystemConfig
-from repro.eval.system_runner import make_system_config, run_system_stencil
+from repro.eval.system_runner import (
+    execute_system_stencil,
+    make_system_config,
+)
 from repro.kernels.layout import Grid3d
 from repro.kernels.partition import (
     build_partitioned_stencil,
@@ -26,10 +29,12 @@ from repro.kernels.registry import get_stencil
 from repro.kernels.variants import Variant
 from repro.system import System
 
+from oracle import ORACLE, SeedCluster, engine_cluster, seed_system
+
 GRID = Grid3d(4, 4, 8)
 ITERS = 2
 CLUSTER_COUNTS = (1, 2, 4)
-ENGINES = ("scalar", "scalar-v2", "auto")
+ENGINES = (ORACLE, "scalar-v2", "auto")
 VARIANT = Variant.from_label("Chaining+")
 
 
@@ -37,11 +42,13 @@ def _run(kernel: str, num_clusters: int, engine: str,
          variant: Variant = VARIANT, iters: int = ITERS):
     """One system run; returns (output grid, golden, cycles)."""
     spec, _ = get_stencil(kernel)
+    make, cfg_engine = engine_cluster(engine)
     cfg = SystemConfig(num_clusters=num_clusters,
-                       core=CoreConfig(engine=engine))
+                       core=CoreConfig(engine=cfg_engine))
     build = build_partitioned_stencil(spec, GRID, variant, num_clusters,
                                       cfg=cfg, iters=iters)
-    system = System(build.asms, cfg)
+    system = (seed_system if make is SeedCluster else System)(build.asms,
+                                                              cfg)
     build.load_into(system)
     system.run()
     out = build.read_output(system)
@@ -52,8 +59,8 @@ def _run(kernel: str, num_clusters: int, engine: str,
 
 @pytest.mark.parametrize("kernel", ["box3d1r", "j3d27pt"])
 def test_multicluster_bit_identical_to_reference_and_golden(kernel):
-    """num_clusters x engine sweep against the 1-cluster scalar run."""
-    reference, golden, _ = _run(kernel, 1, "scalar")
+    """num_clusters x engine sweep against the 1-cluster oracle run."""
+    reference, golden, _ = _run(kernel, 1, ORACLE)
     assert np.array_equal(reference, golden)
     for num_clusters in CLUSTER_COUNTS:
         for engine in ENGINES:
@@ -78,7 +85,7 @@ def test_base_variant_and_single_sweep_also_differential():
     """The explicit-store variant and iters=1 take different codegen
     paths (no SSR writeback, no inter-sweep barrier) -- same contract."""
     variant = Variant.from_label("Base")
-    ref, golden, _ = _run("box3d1r", 1, "scalar", variant=variant,
+    ref, golden, _ = _run("box3d1r", 1, ORACLE, variant=variant,
                           iters=1)
     assert np.array_equal(ref, golden)
     for num_clusters in (2, 4):
@@ -92,12 +99,12 @@ def test_base_variant_and_single_sweep_also_differential():
 def test_single_sweep_interior_matches_classic_kernel():
     """iters=1 partitioned interior == the classic single-cluster
     kernel's interior (the pre-system reference path)."""
-    from repro.eval.runner import run_stencil_variant
+    from repro.eval.runner import execute_stencil
 
     spec, _ = get_stencil("j3d27pt")
     assert np.array_equal(iterated_golden(spec, GRID.make_input(1), 1),
                           _run("j3d27pt", 2, "auto", iters=1)[1])
-    classic = run_stencil_variant("j3d27pt", VARIANT, grid=GRID)
+    classic = execute_stencil("j3d27pt", VARIANT, grid=GRID)
     assert classic.correct  # classic harness checks its own golden
     out, _, _ = _run("j3d27pt", 2, "auto", iters=1)
     r = GRID.radius
@@ -127,7 +134,7 @@ def test_split_slabs_rejects_too_many_clusters():
 def test_run_system_stencil_metrics():
     """The sweep-facing wrapper: correctness flag, aggregate metrics,
     and the system meta the report layer consumes."""
-    result = run_system_stencil("j3d27pt", VARIANT, grid=GRID,
+    result = execute_system_stencil("j3d27pt", VARIANT, grid=GRID,
                                 num_clusters=2, iters=ITERS)
     assert result.correct
     assert result.cycles == max(result.meta["per_cluster_cycles"])
@@ -145,7 +152,7 @@ def test_strong_scaling_speeds_up():
     """More clusters must reduce wall cycles on the fixed grid."""
     cycles = {}
     for num_clusters in CLUSTER_COUNTS:
-        result = run_system_stencil("box3d1r", VARIANT, grid=GRID,
+        result = execute_system_stencil("box3d1r", VARIANT, grid=GRID,
                                     num_clusters=num_clusters,
                                     iters=ITERS)
         cycles[num_clusters] = result.cycles
@@ -156,10 +163,10 @@ def test_strong_scaling_speeds_up():
 def test_interconnect_contention_and_latency_are_modelled():
     """Squeezing global bandwidth and raising latency must cost cycles
     (the interconnect/bandwidth ablation axis is real, not cosmetic)."""
-    fast = run_system_stencil(
+    fast = execute_system_stencil(
         "box3d1r", VARIANT, grid=GRID, num_clusters=2, iters=ITERS,
         sys_cfg=make_system_config(2, gmem_banks=8, gmem_latency=0))
-    slow = run_system_stencil(
+    slow = execute_system_stencil(
         "box3d1r", VARIANT, grid=GRID, num_clusters=2, iters=ITERS,
         sys_cfg=make_system_config(2, gmem_banks=1, gmem_latency=200))
     assert slow.cycles > fast.cycles
@@ -201,8 +208,7 @@ wait:
     # global-memory traffic is observable.
     while not system.done:
         before = system.gmem.bytes_moved
-        active = [cl for cl in system.clusters
-                  if not system._cluster_done(cl)]
+        active = [cl for cl in system.clusters if not cl.done]
         now = min(cl.cycle for cl in active)
         batch = [cl for cl in active if cl.cycle == now]
         dmas = [cl.dma for cl in batch]
