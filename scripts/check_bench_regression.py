@@ -7,9 +7,16 @@ benchmark got more than ``--threshold`` slower.
 
 Raw seconds are not comparable across runner generations, so both sides
 are normalized by a *calibration* measurement: a small, fixed,
-deterministic simulator workload timed on the current machine at check
-time and recorded in the baseline at update time.  The comparison is
-then ``current / (baseline * cal_now / cal_baseline)``.
+deterministic simulator workload timed on the current machine and
+recorded in the baseline at update time.  The comparison is then
+``current / (baseline * cal_now / cal_baseline)``.
+
+The benchmark session (``benchmarks/conftest.py``) times one calibration
+burst after each gated benchmark and records the bursts and their
+median in the report's ``calibration`` entry; that median is the
+calibration of the report, so host speed drift during the session lands
+on both sides of the ratio.  A report without the entry (one written by
+an older harness) is calibrated here, with one burst.
 
 Refresh the baseline (after an intentional perf change, from a quiet
 machine) with::
@@ -63,12 +70,15 @@ def calibrate(rounds: int = 5) -> float:
     return best
 
 
-def load_current(path: Path) -> dict[str, float]:
+def load_current(path: Path) -> tuple[dict[str, float], float | None]:
+    """Median seconds per benchmark, and the report's calibration (the
+    median of its interleaved bursts; None when it has none)."""
     data = json.loads(path.read_text())
     out = {}
     for bench in data.get("benchmarks", []):
         out[bench["name"]] = bench["stats"]["median"]
-    return out
+    cal = data.get("calibration", {}).get("seconds")
+    return out, cal
 
 
 def gated(names, patterns) -> list[str]:
@@ -124,9 +134,11 @@ def main(argv=None) -> int:
                         help="rewrite the baseline from --current")
     args = parser.parse_args(argv)
 
-    current = load_current(Path(args.current))
+    current, cal = load_current(Path(args.current))
     patterns = tuple(args.select) if args.select else GATED
-    cal = calibrate()
+    if cal is None:
+        print("report has no calibration bursts; calibrating here")
+        cal = calibrate()
 
     if args.update:
         names = gated(current, patterns)

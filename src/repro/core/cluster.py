@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import cycleloop
 from repro.core.config import CoreConfig
+from repro.core.fastpath import _IDLE as _FASTPATH_IDLE, FastPathEngine
 from repro.core.fp_subsystem import FpSubsystem
 from repro.core.int_core import IntCore
 from repro.core.perf import SLOT, PerfCounters, StallReason
@@ -104,8 +106,6 @@ class Cluster:
         # event, so a traced cluster runs without it.
         self.fastpath = None
         if self.cfg.engine == "auto" and trace is None:
-            from repro.core.fastpath import FastPathEngine
-
             self.fastpath = FastPathEngine(self)
 
     def load_program(self, program: Program | str,
@@ -256,11 +256,17 @@ class Cluster:
         # Outside a FREP region with the detector idle, observe() is a
         # no-op; the test keeps the call off the stencils' hot loop.
         if fastpath is not None and (self.fp.sequencer._active
-                                     or fastpath.in_region):
+                                     or fastpath._state != _FASTPATH_IDLE):
             fastpath.observe()
 
     def run(self, max_cycles: int = 5_000_000) -> PerfCounters:
-        """Run to completion; returns the performance counters."""
+        """Run to completion; returns the performance counters.
+
+        A single-core, untraced, direct-fetch cluster runs its steady
+        state in a compiled loop (:mod:`repro.core.cycleloop`), which
+        hands every cycle it does not cover back to the per-cycle
+        path below; the result is the same either way.
+        """
         # The progress token exists purely for post-halt deadlock
         # detection, so it is only computed once the core has halted --
         # evaluating it every cycle was pure hot-loop waste.
@@ -269,9 +275,13 @@ class Cluster:
         core = self.core
         cores = self.cores
         single_core = self._single
-        fp0_queue = self.fp.sequencer.queue
+        fp0_seq = self.fp.sequencer
+        fp0_queue = fp0_seq.queue
         qdepth = self._fp_qdepth
         ff_cooldown = 0
+        select = cycleloop.Selector(self) if cycleloop.eligible(self) \
+            else None
+        handed_back = False
         while True:
             if (core.halted if single_core
                     else all(c.halted for c in cores)) and self.done:
@@ -281,6 +291,20 @@ class Cluster:
                     f"no completion after {max_cycles} cycles "
                     f"(pc={self.core.pc:#x}, halted={self.core.halted})"
                 )
+            # A loop returns before a cycle it does not cover, so that
+            # cycle takes the per-cycle path.  (A running FREP sequencer
+            # rules a loop out, as does a halted core, which drops the
+            # selector below; they are tested here to spare FREP regions
+            # and drains the selector call.)
+            if select is not None:
+                if handed_back:
+                    handed_back = False
+                elif not fp0_seq._active:
+                    loop = select()
+                    if loop is not None:
+                        loop(self, max_cycles, ff_cooldown)
+                        handed_back = True
+                        continue
             # Fast-forwarding needs every core blocked; test core 0
             # inline so active cycles pay a few comparisons at most.
             if (core.halted or core.barrier_wait
@@ -295,6 +319,7 @@ class Cluster:
             else:
                 self.step()
             if core.halted:
+                select = None
                 token = self._progress_token()
                 quiet_cycles = 0 if token != last_progress else \
                     quiet_cycles + 1

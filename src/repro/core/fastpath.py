@@ -201,11 +201,9 @@ class FastPathEngine:
         self.reject_reason: str | None = None
 
     # -- per-cycle hook (end of Cluster.step) --------------------------------
-
-    @property
-    def in_region(self) -> bool:
-        """True while a region analysis is in progress (not idle)."""
-        return self._state != _IDLE
+    #
+    # ``Cluster.step`` calls ``observe`` only while a FREP region is
+    # active or ``_state`` is not ``_IDLE`` (an analysis in progress).
 
     def observe(self) -> None:
         seq = self.fp.sequencer

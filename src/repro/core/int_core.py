@@ -107,6 +107,9 @@ class IntCore:
         # for the blocked-state bumps.
         self._uops: list = [None] * len(program.instrs)
         self._uop_cache: dict[int, Any] = {}
+        #: pc -> lowered micro-op, for the instructions the compiled
+        #: cycle loop may run (:func:`repro.core.cycleloop._admit`).
+        self._loop_uops: dict[int, Any] = {}
         self._pc_base = program.base
         self._fetch_direct = not cfg.fetch_from_memory
         self._pvals = perf.values
@@ -137,6 +140,7 @@ class IntCore:
         # dropped with it.
         self._uops = [None] * len(program.instrs)
         self._uop_cache.clear()
+        self._loop_uops.clear()
         self._pc_base = program.base
 
     def _fetch(self) -> Instr | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 from repro.core.config import CoreConfig
 from repro.isa.encoding import unpack_frep
@@ -43,6 +43,11 @@ class DispatchedEntry:
     #: attached at dispatch by the scalar-v2 engine and lazily filled in
     #: for entries that arrive without one.
     uop: Any = None
+    #: Set on FREP, FP CSR and SCFG entries, whose issue can start a
+    #: hardware loop, re-kind operands or arm a stream lane: the
+    #: compiled cycle loop (:mod:`repro.core.cycleloop`) hands their
+    #: issue cycle back to the per-cycle path.
+    rare: ClassVar[bool] = False
 
 
 class Sequencer:

@@ -353,6 +353,7 @@ def _lower_dispatch(core, instr: Instr):
                 return
             entry = DispatchedEntry(instr, {"rs1": rvals[rs1]}, False)
             entry.uop = fp_uop
+            entry.rare = True
             queue.append(entry)
             vals[s_fpdisp] += 1
             core.pc += 4
@@ -371,6 +372,7 @@ def _lower_dispatch(core, instr: Instr):
                 entry = DispatchedEntry(
                     instr, {"rs1": rvals[rs1], "rs2": rvals[rs2]}, False)
                 entry.uop = fp_uop
+                entry.rare = True
                 queue.append(entry)
                 vals[s_fpdisp] += 1
                 core.pc += 4
@@ -385,6 +387,7 @@ def _lower_dispatch(core, instr: Instr):
                     return
                 entry = DispatchedEntry(instr, {"rs1": rvals[rs1]}, True)
                 entry.uop = fp_uop
+                entry.rare = True
                 queue.append(entry)
                 vals[s_fpdisp] += 1
                 core.pc += 4
@@ -409,6 +412,7 @@ def _lower_dispatch(core, instr: Instr):
             else:
                 entry = DispatchedEntry(instr, _NO_VALS, sync)
             entry.uop = fp_uop
+            entry.rare = True
             queue.append(entry)
             vals[s_fpdisp] += 1
             core.pc += 4

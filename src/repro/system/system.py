@@ -48,6 +48,7 @@ span in O(1).
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter
 
 import numpy as np
 
@@ -66,6 +67,7 @@ from repro.obs import spans as _obs
 GLOBAL_BASE = 0x4000_0000
 
 _INF = 1 << 62
+_CYCLE = attrgetter("cycle")
 
 
 class SystemTimeout(SimulationTimeout):
@@ -310,6 +312,8 @@ class System:
             for core in cluster.cores:
                 core.dma = dma
             self.clusters.append(cluster)
+        #: Every core of every cluster, in cluster order.
+        self._cores = [core for cl in self.clusters for core in cl.cores]
         self.cycle = 0
         self.sys_barriers = 0
 
@@ -407,11 +411,14 @@ class System:
         quiet = 0
         last_token = None
         while True:
-            active = [cl for cl in clusters if not cl.done]
+            # ``done`` needs every core halted: a running first core
+            # settles it without the full drain test.
+            active = [cl for cl in clusters
+                      if not cl.core.halted or not cl.done]
             if not active:
                 break
             self._release_sys_barrier()
-            now = min(cl.cycle for cl in active)
+            now = min(map(_CYCLE, active))
             if now >= max_cycles:
                 raise SystemTimeout(self._diagnose(max_cycles))
             batch = [cl for cl in active if cl.cycle == now]
@@ -419,15 +426,18 @@ class System:
                                    single):
                 continue
             if not single:
-                dmas = [cl.dma for cl in batch]
-                if any(dma._queue for dma in dmas):
-                    self.interconnect.arbitrate(dmas)
+                for cluster in batch:
+                    if cluster.dma._queue:
+                        self.interconnect.arbitrate(
+                            [cl.dma for cl in batch])
+                        break
             for cluster in batch:
                 cluster.step()
             # Post-halt drain watchdog: every core halted yet some
             # decoupled unit can make no progress (mirrors the
             # single-cluster deadlock detection in Cluster.run).
-            if all(core.halted for cl in active for core in cl.cores):
+            if active[0].core.halted and all(
+                    core.halted for cl in active for core in cl.cores):
                 token = tuple(cl._progress_token() for cl in active)
                 quiet = quiet + 1 if token == last_token else 0
                 last_token = token
@@ -450,14 +460,12 @@ class System:
         fast-forwarding (or stepping) the parked clusters, so barrier
         wait time is fully accounted.
         """
-        waiting = [core for cl in self.clusters for core in cl.cores
-                   if core.sys_barrier_wait]
+        for core in self._cores:
+            if not (core.halted or core.sys_barrier_wait):
+                return
+        waiting = [core for core in self._cores if core.sys_barrier_wait]
         if not waiting:
             return
-        for cluster in self.clusters:
-            for core in cluster.cores:
-                if not (core.halted or core.sys_barrier_wait):
-                    return
         parked = [cl for cl in self.clusters
                   if any(c.sys_barrier_wait for c in cl.cores)]
         tmax = max(cl.cycle for cl in parked)
@@ -490,6 +498,9 @@ class System:
     def _try_system_ff(self, active, batch, now, max_cycles,
                        single) -> bool:
         """Jump every minimum-clock cluster over a common dead span."""
+        for cluster in batch:
+            if not cluster._ff_candidate():
+                return False
         if not single:
             # Bandwidth shares are only constant over a span when no DMA
             # can contend; with several clusters, any active DMA forces
@@ -501,8 +512,6 @@ class System:
         target = min(min(caps) if caps else _INF - 1, max_cycles)
         horizons = []
         for cluster in batch:
-            if not cluster._ff_candidate():
-                return False
             horizon = cluster._dead_horizon(external=target)
             if horizon is None:
                 return False

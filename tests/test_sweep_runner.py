@@ -97,8 +97,9 @@ def test_timeout_budget_excludes_queue_wait():
     # queued point's clock must not start until it actually runs, so it
     # still completes instead of being falsely charged for the wait.
     points = [
-        make_point("box3d1r", "Chaining+"),  # default grid, ~2s
-        make_point("j3d27pt", "Chaining+"),  # default grid, ~2s
+        # Four times the default grids: ~1 s each, far over budget.
+        make_point("box3d1r", "Chaining+", grid=(16, 10, 48)),
+        make_point("j3d27pt", "Chaining+", grid=(16, 6, 96)),
         make_point("vecop", "baseline", n=16),
     ]
     campaign = SweepRunner(workers=2, timeout=0.3).run(points)
