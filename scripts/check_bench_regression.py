@@ -19,12 +19,18 @@ on both sides of the ratio.  A report without the entry (one written by
 an older harness) is calibrated here, with one burst.
 
 Refresh the baseline (after an intentional perf change, from a quiet
-machine) with::
+machine) from one or more benchmark sessions with::
 
-    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only \
-        --benchmark-json=bench.json
-    python scripts/check_bench_regression.py --current bench.json \
+    for i in 1 2 3 4 5; do
+        PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only \
+            --benchmark-json=bench$i.json
+    done
+    python scripts/check_bench_regression.py --current bench*.json \
         --baseline benchmarks/BASELINE.json --update
+
+With several reports, each benchmark's baseline is the median over the
+reports of its time divided by that report's calibration, so one noisy
+session does not set the bar.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -121,8 +128,9 @@ def write_step_summary(rows: list[dict], scale: float,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--current", required=True,
-                        help="pytest-benchmark JSON of this run")
+    parser.add_argument("--current", required=True, nargs="+",
+                        help="pytest-benchmark JSON of this run (with "
+                             "--update, one or more sessions)")
     parser.add_argument("--baseline", default="benchmarks/BASELINE.json")
     parser.add_argument("--threshold", type=float, default=1.2,
                         help="max allowed slowdown ratio (default 1.2 "
@@ -133,25 +141,37 @@ def main(argv=None) -> int:
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from --current")
     args = parser.parse_args(argv)
+    if len(args.current) > 1 and not args.update:
+        parser.error("gating takes one --current report")
 
-    current, cal = load_current(Path(args.current))
+    reports = []
+    for path in args.current:
+        current, cal = load_current(Path(path))
+        if cal is None:
+            print(f"{path} has no calibration bursts; calibrating here")
+            cal = calibrate()
+        reports.append((current, cal))
     patterns = tuple(args.select) if args.select else GATED
-    if cal is None:
-        print("report has no calibration bursts; calibrating here")
-        cal = calibrate()
 
     if args.update:
-        names = gated(current, patterns)
+        names = gated(set.intersection(*(set(c) for c, _ in reports)),
+                      patterns)
+        cal = statistics.median(c for _, c in reports)
         baseline = {
             "calibration_seconds": round(cal, 6),
             "threshold": args.threshold,
-            "benchmarks": {n: round(current[n], 6) for n in sorted(names)},
+            "benchmarks": {
+                n: round(cal * statistics.median(
+                    current[n] / c for current, c in reports), 6)
+                for n in sorted(names)},
         }
         Path(args.baseline).write_text(json.dumps(baseline, indent=2)
                                        + "\n")
-        print(f"baseline updated: {len(names)} benchmarks, "
-              f"calibration {cal * 1e3:.2f} ms")
+        print(f"baseline updated from {len(reports)} report(s): "
+              f"{len(names)} benchmarks, calibration {cal * 1e3:.2f} ms")
         return 0
+
+    current, cal = reports[0]
 
     baseline = json.loads(Path(args.baseline).read_text())
     scale = cal / baseline["calibration_seconds"]

@@ -33,7 +33,7 @@ from pathlib import Path
 
 
 def _build(kernel: str, variant: str, grid: tuple[int, int, int],
-           engine: str, clusters: int):
+           clusters: int):
     """A fresh simulation: ``(run, simulated cycles)`` callables."""
     from repro.core.config import CoreConfig
     from repro.kernels.layout import Grid3d
@@ -41,7 +41,7 @@ def _build(kernel: str, variant: str, grid: tuple[int, int, int],
     from repro.kernels.variants import Variant
 
     spec, _ = get_stencil(kernel)
-    cfg = CoreConfig(engine=engine)
+    cfg = CoreConfig()
     if clusters > 1:
         from repro.eval.system_runner import make_system_config
         from repro.kernels.partition import build_partitioned_stencil
@@ -72,12 +72,11 @@ def _label(code) -> str:
 
 
 def count(kernel: str, variant: str, grid: tuple[int, int, int],
-          engine: str = "auto",
           clusters: int = 1) -> tuple[int, int, Counter]:
     """``(opcode events, simulated cycles, events per code object)`` of
     one run after an untraced warm-up run of the same workload."""
-    _build(kernel, variant, grid, engine, clusters)[0]()
-    run, cycles = _build(kernel, variant, grid, engine, clusters)
+    _build(kernel, variant, grid, clusters)[0]()
+    run, cycles = _build(kernel, variant, grid, clusters)
     per_code: Counter = Counter()
 
     def local(frame, event, arg):
@@ -103,23 +102,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--variant", default="Chaining+")
     parser.add_argument("--grid", type=int, nargs=3, default=(2, 4, 16),
                         metavar=("NZ", "NY", "NX"))
-    parser.add_argument("--engine", default="auto",
-                        choices=("auto", "scalar-v2"))
     parser.add_argument("--clusters", type=int, default=1,
                         help="run a multi-cluster System of this size")
     parser.add_argument("--by-function", action="store_true",
                         help="per-function opcode events per cycle")
-    parser.add_argument("--top", type=int, default=25,
-                        help="rows of the --by-function table")
     args = parser.parse_args(argv)
 
     total, cycles, per_code = count(args.kernel, args.variant,
-                                    tuple(args.grid), args.engine,
-                                    args.clusters)
+                                    tuple(args.grid), args.clusters)
     grid = "x".join(map(str, args.grid))
     unit = "simulated cycle" if args.clusters == 1 else "cluster-cycle"
-    print(f"{args.kernel} {args.variant} grid {grid} ({args.engine}, "
-          f"{args.clusters} cluster{'s' if args.clusters > 1 else ''}): "
+    print(f"{args.kernel} {args.variant} grid {grid} "
+          f"({args.clusters} cluster{'s' if args.clusters > 1 else ''}): "
           f"{cycles} {unit}s, {total} opcodes, "
           f"{total / cycles:.1f} opcodes per {unit}")
     if args.by_function:
@@ -127,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         for code, events in per_code.items():
             per_label[_label(code)] += events
         print(f"{'per cycle':>10}  function")
-        for label, events in per_label.most_common(args.top):
+        for label, events in per_label.most_common():
             print(f"{events / cycles:10.1f}  {label}")
     return 0
 

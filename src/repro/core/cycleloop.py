@@ -704,6 +704,7 @@ class _Gen:
             "    for dest, value in commits:",
             "        if not fregs.try_writeback(dest, value):",
             "            lsu.block(dest, value)",
+            "            lsu_live = True",
             "        else:",
             f"            pvals[{_S_RF_WRITES}] += 1",
             "    commits = None",

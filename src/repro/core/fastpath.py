@@ -201,9 +201,6 @@ class FastPathEngine:
         self.reject_reason: str | None = None
 
     # -- per-cycle hook (end of Cluster.step) --------------------------------
-    #
-    # ``Cluster.step`` calls ``observe`` only while a FREP region is
-    # active or ``_state`` is not ``_IDLE`` (an analysis in progress).
 
     def observe(self) -> None:
         seq = self.fp.sequencer

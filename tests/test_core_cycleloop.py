@@ -6,9 +6,9 @@ totals in locals.  These tests hold it to the seed interpreter
 (``tests/oracle/``):
 
 * **lockstep fuzz** -- random stream programs (every lane mode,
-  chaining, FP and integer memory traffic, chained loads, an FREP
-  region, mid-program re-arms) run
-  through ``Cluster.run(max_cycles=k)`` at several cut points ``k``;
+  chaining, FP and integer memory traffic, chained loads, a load and
+  an FPU result pushed into one chaining register, an FREP region,
+  mid-program re-arms) run through ``Cluster.run(max_cycles=k)`` at several cut points ``k``;
   after each cut the complete machine state, every streamer port and
   walker included, must equal the oracle's after ``k`` steps;
 * **digest tests** -- complete runs of every lane mode, conservative
@@ -128,8 +128,9 @@ def _stream_program(rng: random.Random) -> str:
     every read lane and pushes every write lane once per iteration,
     optionally through a chaining register, among random FP/integer
     loads (some into a chaining register), stores, conversions and ALU
-    work.  An FREP region may run first, and a second phase may re-arm
-    the read lanes with fresh patterns.
+    work, and an FPU result and a load pushed into the same chaining
+    register.  An FREP region may run first, and a second phase may
+    re-arm the read lanes with fresh patterns.
     """
     iters = rng.randrange(8, 40)
     modes = [rng.choice(_MODES) for _ in range(3)]
@@ -180,6 +181,20 @@ def _stream_program(rng: random.Random) -> str:
             # the FP LSU), popped by the next instruction.
             lines.append(f"fld f21, {8 * rng.randrange(128)}(x8)")
             lines.append(f"fmul.d {plain()}, f21, {plain()}")
+        if chain and rng.random() < 0.3:
+            # An FPU result and a load both pushed into f21.  One FP
+            # instruction apart they reach it in the same cycle: the
+            # writeback pushes first and the FP LSU retries its refused
+            # commit on later cycles.
+            pair = [f"{rng.choice(_OPS2)} f21, {plain()}, {plain()}",
+                    f"fld f21, {8 * rng.randrange(128)}(x8)"]
+            if rng.random() < 0.25:
+                pair.reverse()
+            lines.append(pair[0])
+            lines += [f"fadd.d {plain()}, {plain()}, {plain()}"
+                      for _ in range(rng.randrange(3))]
+            lines.append(pair[1])
+            lines += [f"fadd.d {plain()}, f21, {plain()}" for _ in range(2)]
     for lane, mode in enumerate(modes):
         if mode.startswith("W"):
             src = pushed or plain()
@@ -393,6 +408,38 @@ def test_dma_then_streams_through_loop(eager_loops):
     assert machine_digest(got) == machine_digest(ref)
     assert got.dma.transfers_completed == 1
     assert eager_loops["cycles"] > 0
+
+
+def test_refused_load_commit_retries_in_loop(eager_loops, monkeypatch):
+    """An FPU result and a load reach chaining register f21 in the same
+    cycle: the writeback pushes first, the load commit is refused, and
+    the FP LSU must retry it on the next cycles inside the loop."""
+    from repro.core.lsu import FpLsu
+
+    blocks = []
+    block = FpLsu.block
+
+    def counting(self, dest, value):
+        blocks.append(sys._getframe(1).f_code.co_filename)
+        return block(self, dest, value)
+
+    monkeypatch.setattr(FpLsu, "block", counting)
+    source = "\n".join([
+        f"li x8, {DATA}", "li x7, 0x200000", "csrrw x0, 0x7C3, x7",
+        _stream(random.Random(1), 0, "RI4", 12).emit(),
+        "csrrsi x0, ssr_enable, 1", "li x28, 0", "li x29, 12", "loop:",
+        "fadd.d f3, f0, f4", "fmul.d f21, f5, f6", "fadd.d f7, f8, f9",
+        "fld f21, 64(x8)", "fadd.d f3, f21, f3", "fadd.d f4, f21, f4",
+        "addi x28, x28, 1", "bne x28, x29, loop",
+        "csrrci x0, ssr_enable, 1", "ebreak"])
+    ref, got = _pair(source, 3)
+    for cut in (60, 120, 180, 4000):
+        outcomes = [_outcome(lambda c=c: c.run(max_cycles=cut))
+                    for c in (ref, got)]
+        assert outcomes[0] == outcomes[1]
+        assert _full_state(got) == _full_state(ref), f"cut {cut}"
+    assert outcomes[1][0] == "done"
+    assert any(name.startswith("<cycle-loop") for name in blocks)
 
 
 def test_timeout_and_deadlock_outcomes_match(eager_loops):
