@@ -10,7 +10,8 @@
 Measured geomeans are printed next to the paper's numbers and asserted
 with tolerances that reflect a cycle-level (non-RTL) reproduction; the
 Base- comparisons are looser because our Base- schedules its spill
-reloads better than the paper's (documented in EXPERIMENTS.md).
+reloads better than the paper's (see "Known deviations from the paper"
+in docs/fidelity.md).
 """
 
 from repro.eval.figures import PAPER_CLAIMS, claims_from_results
@@ -38,7 +39,7 @@ def test_section3_claims(benchmark, fig3_results):
     # Chaining vs Base: ~7% energy efficiency, roughly no speedup.
     assert 4.0 <= measured["efficiency_chaining_vs_base_pct"] <= 12.0
     # Chaining+ vs Base-: positive in both metrics (paper: 8%/9%; our
-    # Base- is stronger than the paper's, see EXPERIMENTS.md).
+    # Base- is stronger than the paper's, see docs/fidelity.md).
     assert measured["speedup_chaining_plus_vs_base_m_pct"] > 0
     assert measured["efficiency_chaining_plus_vs_base_m_pct"] > 0
     # >93% utilization with chaining.

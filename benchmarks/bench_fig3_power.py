@@ -4,7 +4,8 @@ The absolute numbers come from our event-energy model (GF12-plausible
 constants, calibrated to the paper's ~60 mW ballpark); the assertions
 check the band and the qualitative movements the model can support.  The
 known residual vs. the paper -- our Chaining power dips where the paper
-shows near-flat bars -- is recorded in EXPERIMENTS.md.
+shows near-flat bars -- is recorded under "Known deviations from the
+paper" in docs/fidelity.md.
 """
 
 from repro.eval.figures import PAPER_FIG3_POWER_MW

@@ -91,9 +91,9 @@ class CoreConfig:
     #:
     #: * ``"auto"`` (default) -- the vectorized FREP/SSR fast path
     #:   (:mod:`repro.core.fastpath`) on eligible hardware-loop regions,
-    #:   and the scalar-v2 micro-op engine (pre-decoded dispatch plus
-    #:   idle-cycle fast-forwarding, :mod:`repro.core.uops`) everywhere
-    #:   else.  With a trace recorder attached the fast path silently
+    #:   and the scalar-v2 micro-op engine (pre-decoded dispatch,
+    #:   :mod:`repro.core.uops`, and the compiled cycle loop,
+    #:   :mod:`repro.core.cycleloop`) everywhere else.  With a trace recorder attached the fast path silently
     #:   stands down (it skips per-issue events) while the micro-op
     #:   engine keeps running -- it emits every trace event;
     #: * ``"scalar-v2"`` -- the micro-op engine alone, never the

@@ -36,7 +36,6 @@ cycle:
   a dispatch that waits on a sync result (:func:`runs_in_loop`) -- so
   inside the loop the core is never halted, at a barrier or waiting on
   a sync, and no DMA transfer is queued;
-* an idle fast-forward probe is due (the gate of :meth:`Cluster.run`);
 * the cycle budget is reached.
 
 The FREP sequencer and the fast path are inactive on entry and cannot
@@ -447,14 +446,6 @@ class _Lane:
                 f"    ac{j} += 1"]
         return out
 
-    def idle(self) -> str:
-        """Expression: the data port has no request and no response
-        (``Cluster._ff_candidate``'s test)."""
-        d = self.data
-        if self.read:
-            return f"{d.q} is None and {d.r} is None"
-        return f"{d.q} is None and not {d.a}"
-
 
 def _indent(lines: list[str], depth: int) -> list[str]:
     pad = "    " * depth
@@ -611,7 +602,7 @@ class _Gen:
     def source(self) -> str:
         lanes = self.lanes
         head = [
-            "def loop(cl, max_cycles, ff_cooldown):",
+            "def loop(cl, max_cycles):",
             "    core = cl.core",
             "    fp = cl.fp",
             "    perf = cl.perf",
@@ -626,7 +617,6 @@ class _Gen:
             "    nb = tcdm.num_banks",
             "    seq = fp.sequencer",
             "    queue = seq.queue",
-            "    qdepth = cl._fp_qdepth",
             "    chain = fp.chain",
             "    valid = chain.valid",
             "    popped = chain._popped_this_cycle",
@@ -657,10 +647,6 @@ class _Gen:
             "commits = None",
             "slow = False",
         ]
-        idle = " and ".join(lane.idle() for lane in lanes)
-        probe = "cycle >= ff_cooldown and (stalled or len(queue) >= qdepth)"
-        if idle:
-            probe = f"{idle} and {probe}"
         body = [
             # -- top of cycle: hand back before rare cycles
             "stalled = cycle < core.stall_until",
@@ -670,8 +656,6 @@ class _Gen:
             "        break",
             "else:",
             "    entry = None",
-            f"if {probe}:",
-            "    break",
             "if not stalled:",
             "    uop = loop_uop(core.pc)",
             "    if uop is None:",

@@ -4,8 +4,8 @@ Every figure/claim of the paper has one entry point here; the benchmark
 scripts call these and print paper-vs-measured tables.
 
 Paper reference values are transcribed from the text dump of Fig. 3.  The
-bar-label association in that dump is ambiguous (the caveat is recorded in
-EXPERIMENTS.md); the *text* claims of section III are unambiguous and are
+bar-label association in that dump is ambiguous (see "Known deviations
+from the paper" in docs/fidelity.md); the *text* claims of section III are unambiguous and are
 the primary reproduction targets:
 
 * Chaining+ vs Base:  ~4% geomean speedup, ~10% geomean energy efficiency;

@@ -2,9 +2,9 @@
 
 The registry complements the span timeline with cheap aggregates —
 cache hit/miss counts, per-point wall seconds, fastpath eligibility,
-fast-forward savings, DMA traffic.  Like the tracer, it is only
-touched behind ``if spans.ENABLED:`` guards, so the default-off cost
-on instrumented seams is one attribute read.
+DMA traffic.  Like the tracer, it is only touched behind ``if
+spans.ENABLED:`` guards, so the default-off cost on instrumented seams
+is one attribute read.
 
 Metric names are dotted strings (see ``docs/observability.md`` for the
 full table):
@@ -19,8 +19,6 @@ name                      type         meaning
 ``fastpath.regions``      counter      FREP regions seen by the fast path
 ``fastpath.eligible``     counter      regions the fast path accepted
 ``fastpath.cycles``       counter      cycles skipped by fastpath apply
-``ff.spans``              counter      scalar-v2 quiescence fast-forwards
-``ff.cycles``             counter      cycles skipped by fast-forwarding
 ``dma.bytes``             counter      bytes moved through global memory
 ``dma.contended_cycles``  counter      interconnect arbitration conflicts
 ``system.runs``           counter      ``System.run`` invocations
@@ -114,11 +112,7 @@ METRICS = MetricsRegistry()
 
 def cluster_run_obs(cluster) -> dict:
     """Summarize one finished single-cluster run."""
-    obs: dict = {
-        "engine": cluster.cfg.engine,
-        "ff_spans": cluster.ff_stats["spans"],
-        "ff_cycles_skipped": cluster.ff_stats["cycles"],
-    }
+    obs: dict = {"engine": cluster.cfg.engine}
     fastpath = getattr(cluster, "fastpath", None)
     if fastpath is not None:
         stats = dict(fastpath.stats)
@@ -163,7 +157,7 @@ def campaign_obs(outcomes, seconds: float) -> dict:
             "max": max(wall) if wall else 0.0,
         },
     }
-    ff_spans = ff_cycles = fp_regions = fp_eligible = 0
+    fp_regions = fp_eligible = 0
     reject_reasons: dict[str, int] = {}
     for o in outcomes:
         meta = getattr(o.result, "meta", None) or {}
@@ -171,16 +165,12 @@ def campaign_obs(outcomes, seconds: float) -> dict:
         if not isinstance(run_obs, dict):
             continue
         for part in ([run_obs] + list(run_obs.get("clusters", []))):
-            ff_spans += part.get("ff_spans", 0)
-            ff_cycles += part.get("ff_cycles_skipped", 0)
             fp = part.get("fastpath")
             if isinstance(fp, dict):
                 fp_regions += fp.get("regions_seen", 0)
                 fp_eligible += fp.get("regions_eligible", 0)
                 for reason, n in fp.get("reject_reasons", {}).items():
                     reject_reasons[reason] = reject_reasons.get(reason, 0) + n
-    agg["ff_spans"] = ff_spans
-    agg["ff_cycles_skipped"] = ff_cycles
     agg["fastpath_regions_seen"] = fp_regions
     agg["fastpath_regions_eligible"] = fp_eligible
     agg["fastpath_eligibility_rate"] = (

@@ -1,7 +1,7 @@
 """The frozen seed interpreter: the differential oracle.
 
-The cycle-accurate engines in ``src/`` (scalar-v2 micro-ops, idle-cycle
-fast-forwarding and the vectorized FREP/SSR fast path) must match this
+The cycle-accurate engines in ``src/`` (scalar-v2 micro-ops, the
+compiled cycle loop and the vectorized FREP/SSR fast path) must match this
 model in every architecturally visible quantity.  It is the original
 per-cycle interpreter, kept verbatim and never optimized: each function
 below is the body of the seed method it is named after, with ``self``
@@ -11,8 +11,7 @@ this package.
 Entry points:
 
 * :class:`SeedCluster` (or :func:`engine_cluster` with :data:`ORACLE`)
-  -- a :class:`~repro.core.cluster.Cluster` stepped by the seed loop,
-  with idle-cycle fast-forwarding switched off;
+  -- a :class:`~repro.core.cluster.Cluster` stepped by the seed loop;
 * :func:`seed_system` -- a :class:`~repro.system.System` whose clusters
   all run the seed loop;
 * :func:`backends` -- runs the ``repro.eval`` execute functions on the
@@ -75,17 +74,6 @@ class SeedCluster(Cluster):
         self.perf.cycles = self.cycle
         if self.fastpath is not None:
             self.fastpath.observe()
-
-    # The seed interpreter never skips cycles: with both fast-forward
-    # gates shut, ``Cluster.run`` and ``System.run`` reduce to plain
-    # loops over :meth:`step`.
-
-    def _ff_candidate(self) -> bool:
-        return False
-
-    def _try_fast_forward(self, max_cycles: int,
-                          external: int | None = None) -> bool:
-        return False
 
 
 def engine_cluster(engine: str) -> tuple[type[Cluster], str]:

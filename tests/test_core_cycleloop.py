@@ -63,10 +63,10 @@ def eager_loops(monkeypatch):
         if loop is None:
             return None
 
-        def counted(cluster, max_cycles, ff_cooldown):
+        def counted(cluster, max_cycles):
             start = cluster.cycle
             try:
-                return loop(cluster, max_cycles, ff_cooldown)
+                return loop(cluster, max_cycles)
             finally:
                 ran["cycles"] += cluster.cycle - start
         return counted
@@ -534,14 +534,27 @@ def test_out_of_range_indirect_read_fails_alike(eager_loops):
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="opcode counts are specific to CPython 3.11")
 def test_bytecodes_per_cycle_budget(monkeypatch):
-    """j3d27pt Chaining+ on the 2x4x16 grid stays within 850 opcodes
+    """j3d27pt Chaining+ on the 2x4x16 grid stays within 700 opcodes
     per simulated cycle (1,179 before the compiled loop)."""
     monkeypatch.setattr(cycleloop, "WARMUP", 256)
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "scripts"))
     from count_bytecodes import count
 
     total, cycles, _ = count("j3d27pt", "Chaining+", (2, 4, 16))
-    assert total / cycles <= 850
+    assert total / cycles <= 700
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="opcode counts are specific to CPython 3.11")
+def test_bytecodes_per_cluster_cycle_budget(monkeypatch):
+    """A 2-cluster System point (j3d27pt Chaining+ on 4x4x8) stays
+    within 1,200 opcodes per cluster-cycle."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "scripts"))
+    from count_bytecodes import count
+
+    total, cycles, _ = count("j3d27pt", "Chaining+", (4, 4, 8),
+                             clusters=2)
+    assert total / cycles <= 1200
 
 
 @pytest.mark.parametrize("fields, mode", [
